@@ -31,7 +31,6 @@ from .errors import (
     NonConvergence,
     OutsideRange,
     PoleOutsideRegions,
-    SeriesDivergence,
     TooCloseToContour,
 )
 from .faber import (
@@ -52,7 +51,7 @@ from .grunsky import (
     faber_pullback_block,
     grunsky_column,
     norm_history,
-    offdiagonal_block_area,
+    offdiagonal_block_series,
     operator_norm,
     orthonormal_from_monomial,
     read_matrix,

@@ -31,7 +31,6 @@ from .faber import RationalFn
 
 SCHEMA = "faberkit.v1"
 MAX_TRUNC = 256
-MAX_QUAD = 1 << 16
 
 
 @dataclass
@@ -41,7 +40,6 @@ class ExperimentSpec:
     command: str
     config: MultiDomainConfig
     trunc: int
-    n_quad: int
     out_dir: str
     function: RationalFn
     tol: float
@@ -51,8 +49,6 @@ class ExperimentSpec:
     def check_ranges(self):
         if not (1 <= self.trunc <= MAX_TRUNC):
             raise ValueError("--trunc must be in [1, %d]" % MAX_TRUNC)
-        if self.n_quad > MAX_QUAD or self.n_quad < 64 or self.n_quad & (self.n_quad - 1):
-            raise ValueError("--quad must be a power of two in [64, %d]" % MAX_QUAD)
 
 
 def load_config_file(path):
@@ -132,7 +128,7 @@ def cmd_grunsky(spec):
         writer.writerow(["trunc", "sigma_max"])
         for t in sorted(history):
             writer.writerow([t, _fmt(history[t])])
-    sigma = grunsky.operator_norm(gr)
+    sigma = history[gr.trunc]
     print("sigma_max = %s" % _fmt(sigma))
     return 0 if sigma < 1.0 else 1
 
@@ -226,7 +222,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--trunc", type=int, default=16)
-        p.add_argument("--quad", type=int, default=1024)
         p.add_argument("--out", default=".")
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--policy", default="auto",
@@ -250,8 +245,8 @@ def main(argv=None):
         config = load_config_file(args.config)
         fn = parse_polespec(args.function) if getattr(args, "function", None) else None
         spec = ExperimentSpec(command=args.command, config=config,
-                              trunc=args.trunc, n_quad=args.quad,
-                              out_dir=args.out, function=fn, tol=args.tol,
+                              trunc=args.trunc, out_dir=args.out,
+                              function=fn, tol=args.tol,
                               policy=args.policy, seed=seed)
         spec.check_ranges()
     except (OSError, ValueError, KeyError, IndexError, TypeError,

@@ -8,7 +8,6 @@ seminorms use the convention ||z^{-m}||^2 = pi*m and ||z^n||^2 = pi*n, and
 the boundary trace norm squared is pi * sum |n| |a_n|^2.
 """
 
-import csv
 import warnings
 
 import numpy as np
@@ -18,6 +17,7 @@ from .errors import AliasWarning
 
 DEFAULT_BAND = 64
 DEFAULT_SAMPLES = 512
+ALIAS_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +144,7 @@ def eval_series(s, z):
     return acc
 
 
-def sample_to_coeffs(samples, rho, m_neg, n_pos, alias_tol=1e-8):
+def sample_to_coeffs(samples, rho, m_neg, n_pos, alias_tol=ALIAS_TOL):
     """Laurent coefficients from uniform samples on |w| = rho.
 
     samples[t] = h(rho * exp(2 pi i t / N)).  Coefficient a_n is the n-th
@@ -177,29 +177,3 @@ def sample_to_coeffs(samples, rho, m_neg, n_pos, alias_tol=1e-8):
     neg = spec[(n_fft - ms) % n_fft] * rho ** ms.astype(float) if m_neg else np.zeros(0, dtype=complex)
     return CoeffSeq(neg=neg, pos=pos, const=complex(spec[0]))
 
-
-def add(s1, s2):
-    m = max(s1.neg.size, s2.neg.size)
-    n = max(s1.pos.size, s2.pos.size)
-    neg = np.zeros(m, dtype=complex)
-    pos = np.zeros(n, dtype=complex)
-    neg[: s1.neg.size] += s1.neg
-    neg[: s2.neg.size] += s2.neg
-    pos[: s1.pos.size] += s1.pos
-    pos[: s2.pos.size] += s2.pos
-    return CoeffSeq(neg=neg, pos=pos, const=s1.const + s2.const)
-
-
-def scale(s, c):
-    return CoeffSeq(neg=c * s.neg, pos=c * s.pos, const=c * s.const)
-
-
-def write_csv(s, fileobj):
-    """Frequency-sorted dump: rows n, re, im."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["n", "re", "im"])
-    for n in range(-s.neg.size, s.pos.size + 1):
-        if n == 0 and s.const == 0:
-            continue
-        a = s.coeff(n)
-        writer.writerow([n, "%.17g" % a.real, "%.17g" % a.imag])

@@ -25,9 +25,5 @@ class PoleOutsideRegions(FaberkitError):
     """A pole of a rational function lies in none of the interior regions."""
 
 
-class SeriesDivergence(FaberkitError):
-    """Power-series division hit a (near-)zero constant term."""
-
-
 class AliasWarning(UserWarning):
     """Tail of an FFT coefficient extraction is above the aliasing threshold."""

@@ -6,33 +6,27 @@ pullback of the i-th Faber function through the j-th map:
     Gr_{ji}(z^{-m}) = positive part of [ Phi^i_m o f_j - const ],
 
 with monomial entries b_nm defined by Gr_{ji}(z^{-m}) = sum_n b_nm z^n.
-Three routes compute the same blocks:
+Two independent routes compute the same blocks:
 
 * definitional: sample Phi^i_m o f_j on a circle |w| = rho and read the
   coefficients off an FFT.  The negative frequencies must come back as
   exactly delta_{ij} z^{-m}; the residual of that identity is recorded on
   every call and is the cheapest global health check of the pipeline.
 
-* diagonal kernel series: the diagonal block is generated by the
-  non-singular kernel
+* kernel series: every entry is a Taylor coefficient of a kernel analytic
+  on the closed bidisk.  On the diagonal, with the divided difference
+  Q(zeta, z) = (f(zeta) - f(z))/(zeta - z),
 
-      K(zeta, z) = z/(zeta (zeta - z)) - f'(zeta)/(f(zeta) - f(z))
-                   + f'(zeta)/(f(zeta) - f(0)),
+      b_nm = [zeta^{m-1} z^n] (-d_zeta Q / Q)
 
-  whose Taylor coefficient of zeta^{m-1} z^n is b_nm.  Both log-derivative
-  singularities cancel; the expansion is pure truncated-series arithmetic
-  and vanishes identically for affine maps.
-
-* off-diagonal area form: for i != j the entries follow from the area
-  pairing of the cross kernel
+  (the Grunsky coefficients are those of log Q, Pommerenke 1975); it
+  vanishes identically for affine maps.  Off the diagonal, with the
+  cross kernel
 
       K_ji(zeta, z) = f_i'(zeta)/(f_i(zeta) - f_j(z)) - f_i'(zeta)/(f_i(zeta) - f_j(0)),
 
-  namely column m equals -(m/pi) * integral over the unit disk of
-  K_ji(zeta, z) conj(zeta)^{m-1} dA(zeta).  The printed form of this
-  pairing varies by convention, so the implementation calibrates an
-  overall per-block sign against one definitional column before trusting
-  the rest; the calibration factor is recorded.
+  b_nm = -[zeta^{m-1} z^n] K_ji.  Either kernel is sampled on the unit
+  torus and its coefficients read off one 2-d FFT.
 
 Entries in the orthonormal bases {z^{-m}/sqrt(pi m)}, {z^n/sqrt(pi n)}
 are G_nm = sqrt(n/m) b_nm; operator norms are singular values of the
@@ -40,14 +34,13 @@ stacked orthonormal matrix.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pseries
 from .coeffs import CoeffSeq, sample_to_coeffs
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
 from .faber import faber_polynomial, faber_series_table
-from .quadrature import disk_quadrature_nodes
 
 DEFAULT_DIAG_RHO = 0.97
 DEFAULT_METHOD_TOL = 1e-6
@@ -115,92 +108,41 @@ def grunsky_column(config, j, i, m, rho=None, n_pos=None, n_samples=None):
     return pos, neg
 
 
-def diagonal_kernel_coeffs(spec, n_zeta, n_z):
-    """Taylor array K[a, n] of the diagonal kernel, a < n_zeta, n < n_z.
+def diagonal_block_series(spec, trunc):
+    """Monomial diagonal block b[n-1, m-1] = [zeta^{m-1} z^n](-d_zeta Q / Q).
 
-    Assembled without ever dividing by a series with vanishing constant
-    term: with Q the divided difference (f(zeta)-f(z))/(zeta-z) and
-    q = (f(zeta)-f(0))/zeta,
-
-        K = (Q - f'(zeta))/((zeta - z) Q) + (f'(zeta) - q)/(zeta q),
-
-    and both numerators are exactly divisible by their singular factors.
+    Q[u, v] = a_{u+v+1} are the coefficients of the divided difference;
+    Q and d_zeta Q are evaluated from them, so nothing cancels at zeta = z.
     """
     d = spec.degree
-    a = spec.coeffs
-    # Q[u, v] = sum_k a_k over u + v = k - 1
     Q = np.zeros((d, d), dtype=complex)
-    for k in range(1, d + 1):
-        for u in range(k):
-            Q[u, k - 1 - u] += a[k - 1]
-    fp = np.zeros(d, dtype=complex)
-    for k in range(1, d + 1):
-        fp[k - 1] = k * a[k - 1]
-    N = Q.copy()
-    N[:, 0] -= fp
-    N1 = pseries.divide_out_zeta_minus_z(N)
-    part_a = pseries.bv_div(N1, Q, n_zeta, n_z)
-    # (f'(zeta) - q(zeta))/zeta = sum_{v>=0} (v+1) a_{v+2} zeta^v
-    t = np.array([(v + 1) * a[v + 1] for v in range(d - 1)], dtype=complex) \
-        if d >= 2 else np.zeros(0, dtype=complex)
-    qcoef = np.asarray(a, dtype=complex)
-    part_b = pseries.ps_div(t, qcoef, n_zeta) if t.size else np.zeros(n_zeta, dtype=complex)
-    K = part_a
-    K[:, 0] += part_b
-    return K
+    for u in range(d):
+        Q[u, : d - u] = spec.coeffs[u:]
+
+    def kernel(w):
+        V = w[:, None] ** np.arange(d)[None, :]  # V[s, u] = w_s^u
+        dV = np.zeros_like(V)
+        dV[:, 1:] = V[:, :-1] * np.arange(1, d)
+        return -(dV @ Q @ V.T) / (V @ Q @ V.T)
+
+    return pseries.torus_coeffs(kernel, trunc).T
 
 
-def diagonal_block_series(spec, trunc):
-    """Monomial diagonal block from the kernel Taylor expansion."""
-    K = diagonal_kernel_coeffs(spec, trunc, trunc + 1)
-    b = np.zeros((trunc, trunc), dtype=complex)
-    for m in range(1, trunc + 1):
-        b[:, m - 1] = K[m - 1, 1 : trunc + 1]
-    return b
-
-
-def offdiagonal_block_area(config, j, i, trunc, n_r=64, n_theta=256,
-                           n_z=512, z_rho=1.0, calibrate=True):
-    """Monomial off-diagonal block from genuine 2-d disk quadrature.
-
-    Column m is read off -(m/pi) * area integral of the cross kernel paired
-    with conj(zeta)^{m-1}, sampled at z on a circle and Fourier-inverted.
-    With calibrate=True the overall block sign is fixed against the first
-    definitional column and returned alongside the block.
-    """
+def offdiagonal_block_series(config, j, i, trunc):
+    """Monomial off-diagonal block b[n-1, m-1] = -[zeta^{m-1} z^n] K_ji."""
     if i == j:
-        raise ValueError("area route applies to off-diagonal blocks only")
+        raise ValueError("cross kernel applies to off-diagonal blocks only")
     spec_i = config.maps[i]
     spec_j = config.maps[j]
-    zeta, wts = disk_quadrature_nodes(n_r, n_theta)
-    z = z_rho * np.exp(2j * np.pi * np.arange(n_z) / n_z)
-    fi = evaluate_map(spec_i, zeta)
-    fpi = map_derivative(spec_i, zeta)
-    fj = evaluate_map(spec_j, z)
-    fj0 = spec_j.center
-    ms = np.arange(1, trunc + 1)
-    # P[t, m-1] = area weight * conj(zeta_t)^(m-1)
-    P = wts[:, None] * np.conj(zeta)[:, None] ** (ms - 1)[None, :]
-    integrals = np.zeros((trunc, n_z), dtype=complex)
-    block = 128
-    base_col = fpi * (1.0 / (fi - fj0))
-    for start in range(0, n_z, block):
-        cols = slice(start, min(start + block, n_z))
-        kern = fpi[:, None] / (fi[:, None] - fj[None, cols]) - base_col[:, None]
-        integrals[:, cols] = P.T @ kern
-    integrals *= -(ms / np.pi)[:, None]
-    spec = np.fft.fft(integrals, axis=1) / n_z
-    ns = np.arange(1, trunc + 1)
-    b = (spec[:, ns] * z_rho ** (-ns.astype(float))[None, :]).T  # b[n-1, m-1]
-    sign = 1.0
-    if calibrate:
-        ref, _ = grunsky_column(config, j, i, 1, n_pos=trunc)
-        ref_col = np.zeros(trunc, dtype=complex)
-        ref_col[: ref.pos.size] = ref.pos[:trunc]
-        if np.linalg.norm(b[:, 0] + ref_col) < np.linalg.norm(b[:, 0] - ref_col):
-            sign = -1.0
-            b = -b
-    return b, sign
+
+    def kernel(w):
+        fi = evaluate_map(spec_i, w)
+        fpi = map_derivative(spec_i, w)
+        fj = evaluate_map(spec_j, w)
+        return fpi[:, None] / (fi[:, None] - fj[None, :]) \
+            - (fpi / (fi - spec_j.center))[:, None]
+
+    return -pseries.torus_coeffs(kernel, trunc).T
 
 
 def orthonormal_from_monomial(b):
@@ -226,7 +168,6 @@ class GrunskyMatrix:
     method_tags: list
     agreement: np.ndarray
     identity_defect: float
-    calibration: np.ndarray = None
 
     def full_matrix(self, trunc=None):
         t = self.trunc if trunc is None else trunc
@@ -245,25 +186,22 @@ class GrunskyMatrix:
 
 
 def assemble(config, trunc, policy="auto", rho=None, n_samples=None,
-             method_tol=DEFAULT_METHOD_TOL, area_params=None):
+             method_tol=DEFAULT_METHOD_TOL):
     """Build all blocks, cross-checking methods per the policy.
 
     policy "definitional" runs only the sampling route; "dual" always
-    cross-checks against the kernel series (diagonal) and the area form
-    (off-diagonal); "auto" runs dual checks up to truncation 24 and the
-    sampling route alone beyond that.  A cross-method gap above
-    method_tol, or an identity-recovery defect above it, raises
-    MethodDisagreement.
+    cross-checks every block against the kernel series; "auto" runs dual
+    checks up to truncation 24 and the sampling route alone beyond that.
+    A cross-method gap above method_tol, or an identity-recovery defect
+    above it, raises MethodDisagreement.
     """
     if policy not in ("auto", "dual", "definitional"):
         raise ValueError("unknown method policy: %r" % (policy,))
     dual = policy == "dual" or (policy == "auto" and trunc <= DUAL_METHOD_MAX_TRUNC)
     n = config.n
-    area_params = area_params or {}
     blocks = [[None] * n for _ in range(n)]
     tags = [[None] * n for _ in range(n)]
     agreement = np.full((n, n), np.nan)
-    calibration = np.ones((n, n))
     worst_defect = 0.0
     for j in range(n):
         for i in range(n):
@@ -272,14 +210,9 @@ def assemble(config, trunc, policy="auto", rho=None, n_samples=None,
             worst_defect = max(worst_defect, defect)
             tag = "definitional"
             if dual:
-                if i == j:
-                    alt = diagonal_block_series(config.maps[i], trunc)
-                    tag = "definitional+kernel-series"
-                else:
-                    alt, sign = offdiagonal_block_area(config, j, i, trunc,
-                                                       **area_params)
-                    calibration[j, i] = sign
-                    tag = "definitional+area-form"
+                alt = (diagonal_block_series(config.maps[i], trunc) if i == j
+                       else offdiagonal_block_series(config, j, i, trunc))
+                tag = "definitional+kernel-series"
                 gap = float(np.max(np.abs(b - alt)))
                 agreement[j, i] = gap
                 if gap > method_tol:
@@ -293,8 +226,7 @@ def assemble(config, trunc, policy="auto", rho=None, n_samples=None,
             "identity recovery defect %.3g above %.3g" % (worst_defect, method_tol)
         )
     return GrunskyMatrix(n=n, trunc=trunc, blocks=blocks, method_tags=tags,
-                         agreement=agreement, identity_defect=worst_defect,
-                         calibration=calibration)
+                         agreement=agreement, identity_defect=worst_defect)
 
 
 def operator_norm(gr, trunc=None):
@@ -340,8 +272,9 @@ def write_matrix(gr, fileobj, sigma_history=None):
     fileobj.write("kind = grunsky_matrix\n")
     fileobj.write("n = %d\n" % gr.n)
     fileobj.write("trunc = %d\n" % gr.trunc)
-    fileobj.write("sigma_max = %.17g\n" % operator_norm(gr))
     history = sigma_history or norm_history(gr)
+    sigma = history[gr.trunc] if gr.trunc in history else operator_norm(gr)
+    fileobj.write("sigma_max = %.17g\n" % sigma)
     for t in sorted(history):
         fileobj.write("sigma_max[%d] = %.17g\n" % (t, history[t]))
     fileobj.write("identity_defect = %.3g\n" % gr.identity_defect)

@@ -1,124 +1,49 @@
-"""Truncated power-series arithmetic.
+"""Taylor coefficients of bivariate kernels from samples on the unit torus.
 
-Univariate series are 1-d complex arrays of Taylor coefficients, index =
-power.  Bivariate series in (zeta, z) are 2-d arrays A[a, n] holding the
-coefficient of zeta**a * z**n.  All products and quotients are truncated to
-the requested order; division requires an invertible constant term.
+A kernel K(zeta, z) analytic on the closed bidisk is sampled at
+zeta_s = exp(2 pi i s / N), z_t = exp(2 pi i t / N); one 2-d FFT of the
+N x N samples gives its Taylor coefficients [zeta^a z^n] K, aliased by
+those of index N or more higher in either variable.
 """
+
+import warnings
 
 import numpy as np
 
-from .errors import SeriesDivergence
+from .coeffs import ALIAS_TOL
+from .errors import AliasWarning
 
-_TINY = 1e-300
-
-
-def ps_mul(a, b, order):
-    """Product of univariate series, truncated to `order` coefficients."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    full = np.convolve(a[:order], b[:order])
-    out = np.zeros(order, dtype=complex)
-    out[: min(order, full.size)] = full[:order]
-    return out
+MAX_TORUS = 1024
 
 
-def ps_inv(b, order):
-    """Reciprocal series of b, truncated to `order` coefficients."""
-    b = np.asarray(b, dtype=complex)
-    if b.size == 0 or abs(b[0]) < _TINY:
-        raise SeriesDivergence("series has (near-)zero constant term")
-    out = np.zeros(order, dtype=complex)
-    out[0] = 1.0 / b[0]
-    for k in range(1, order):
-        hi = min(k, b.size - 1)
-        acc = np.dot(b[1 : hi + 1], out[k - 1 :: -1][:hi]) if hi >= 1 else 0.0
-        out[k] = -acc / b[0]
-    return out
+def torus_coeffs(kernel, trunc):
+    """Coefficients out[a, n-1] = [zeta^a z^n] K for 0 <= a < trunc, 1 <= n <= trunc.
 
-
-def ps_div(a, b, order):
-    """Quotient a/b of univariate series, truncated to `order` coefficients."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if b.size == 0 or abs(b[0]) < _TINY:
-        raise SeriesDivergence("series has (near-)zero constant term")
-    out = np.zeros(order, dtype=complex)
-    for k in range(order):
-        acc = a[k] if k < a.size else 0.0
-        hi = min(k, b.size - 1)
-        if hi >= 1:
-            acc = acc - np.dot(b[1 : hi + 1], out[k - 1 :: -1][:hi])
-        out[k] = acc / b[0]
-    return out
-
-
-def bv_pad(A, na, nz):
-    out = np.zeros((na, nz), dtype=complex)
-    sa = min(na, A.shape[0])
-    sz = min(nz, A.shape[1])
-    out[:sa, :sz] = A[:sa, :sz]
-    return out
-
-
-def bv_mul(A, B, na, nz):
-    """Product of bivariate series, truncated to shape (na, nz)."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    out = np.zeros((na, nz), dtype=complex)
-    for a in range(min(na, A.shape[0])):
-        row = A[a]
-        for b in range(min(na - a, B.shape[0])):
-            conv = np.convolve(row[:nz], B[b][:nz])[:nz]
-            out[a + b, : conv.size] += conv
-    return out
-
-
-def bv_div(num, den, na, nz):
-    """Quotient num/den of bivariate series, truncated to shape (na, nz).
-
-    Treats both operands as series in zeta whose coefficients are truncated
-    series in z; requires den[0, 0] != 0.
+    kernel(w) returns the N x N samples K(w_s, w_t) at the torus nodes w.
+    N starts at the next power of two >= max(128, 2 * trunc).  The top
+    eighth of the spectrum in either variable holds the coefficients of
+    index near N, the size of those that alias into the block: while this
+    floor sits above ALIAS_TOL of the peak, N doubles.  Past MAX_TORUS an
+    AliasWarning is issued instead (the coefficients are then unreliable).
     """
-    num = np.asarray(num, dtype=complex)
-    den = np.asarray(den, dtype=complex)
-    if den.size == 0 or abs(den[0, 0]) < _TINY:
-        raise SeriesDivergence("bivariate divisor has (near-)zero constant term")
-    inv0 = ps_inv(den[0], nz)
-    out = np.zeros((na, nz), dtype=complex)
-    for a in range(na):
-        acc = np.zeros(nz, dtype=complex)
-        if a < num.shape[0]:
-            take = min(nz, num.shape[1])
-            acc[:take] = num[a, :take]
-        for k in range(1, min(a, den.shape[0] - 1) + 1):
-            acc -= ps_mul(den[k], out[a - k], nz)
-        out[a] = ps_mul(inv0, acc, nz)
-    return out
-
-
-def divide_out_zeta_minus_z(N):
-    """Exact polynomial division N(zeta, z) / (zeta - z).
-
-    N must vanish on the diagonal zeta == z.  Returns Q with
-    N = (zeta - z) * Q, raising SeriesDivergence when the remainder is
-    not negligible.
-    """
-    N = np.asarray(N, dtype=complex)
-    na, nz = N.shape
-    if na < 2:
-        if np.max(np.abs(N)) > 1e-12 * (1 + np.max(np.abs(N))):
-            raise SeriesDivergence("polynomial not divisible by (zeta - z)")
-        return np.zeros((1, nz), dtype=complex)
-    Q = np.zeros((na - 1, nz), dtype=complex)
-    Q[na - 2] = N[na - 1]
-    for a in range(na - 2, 0, -1):
-        # N[a] = Q[a-1] - z*Q[a]
-        Q[a - 1] = N[a].copy()
-        Q[a - 1, 1:] += Q[a, :-1]
-    rem = N[0].copy()
-    rem[1:] += Q[0, :-1]
-    scale = max(1.0, float(np.max(np.abs(N))))
-    if np.max(np.abs(rem)) > 1e-10 * scale:
-        raise SeriesDivergence("polynomial not divisible by (zeta - z)")
-    return Q
+    n = 128
+    while n < 2 * trunc:
+        n *= 2
+    while True:
+        w = np.exp(2j * np.pi * np.arange(n) / n)
+        spec = np.fft.fft2(kernel(w)) / (n * n)
+        mag = np.abs(spec)
+        top = slice(n - n // 8, n)
+        floor = max(float(np.max(mag[top, :])), float(np.max(mag[:, top])))
+        peak = float(np.max(mag))
+        # written so that non-finite samples (a pole on the torus) fail too
+        if floor <= ALIAS_TOL * peak:
+            break
+        if n >= MAX_TORUS:
+            warnings.warn(
+                "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak),
+                AliasWarning,
+            )
+            break
+        n *= 2
+    return spec[:trunc, 1 : trunc + 1]

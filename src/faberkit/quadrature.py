@@ -142,13 +142,3 @@ def area_quadrature_disk(fn, n_r=64, n_theta=256):
     ang = np.sum(vals, axis=1) * (2.0 * np.pi / n_theta)
     return complex(np.sum(wr * r * ang))
 
-
-def disk_quadrature_nodes(n_r=64, n_theta=256):
-    """Nodes and area weights for the unit-disk rule of area_quadrature_disk."""
-    x, w = roots_legendre(n_r)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * w
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    pts = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    wts = np.broadcast_to((wr * r * (2.0 * np.pi / n_theta))[:, None], (n_r, n_theta)).ravel()
-    return pts, wts.copy()

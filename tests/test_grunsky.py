@@ -1,9 +1,12 @@
-"""Block coefficient operator: three construction routes, norms, and export."""
+"""Block coefficient operator: two construction routes, norms, and export."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from faberkit import (
+    AliasWarning,
     CoeffSeq,
     ConformalMapSpec,
     GrunskyMatrix,
@@ -16,7 +19,7 @@ from faberkit import (
     faber_pullback_block,
     grunsky_column,
     norm_history,
-    offdiagonal_block_area,
+    offdiagonal_block_series,
     operator_norm,
     orthonormal_from_monomial,
     read_matrix,
@@ -71,11 +74,42 @@ def test_kernel_series_matches_definitional(single_poly):
     np.testing.assert_allclose(b_ker, b_fft, atol=1e-12)
 
 
-def test_area_route_matches_definitional(config_b):
-    b_fft, _ = faber_pullback_block(config_b, 0, 1, 8)
-    b_area, sign = offdiagonal_block_area(config_b, 0, 1, 8)
-    assert sign == 1
-    np.testing.assert_allclose(b_area, b_fft, atol=1e-10)
+@pytest.mark.parametrize("name, trunc", [("config_b", 8), ("config_c", 256)],
+                         ids=["B-T8", "C-T256"])
+def test_offdiagonal_series_matches_definitional(request, name, trunc):
+    cfg = request.getfixturevalue(name)
+    for j in range(cfg.n):
+        for i in range(cfg.n):
+            if i != j:
+                b_fft, _ = faber_pullback_block(cfg, j, i, trunc)
+                b_ker = offdiagonal_block_series(cfg, j, i, trunc)
+                np.testing.assert_allclose(b_ker, b_fft, atol=1e-12)
+
+
+def test_kernel_series_alias_warning():
+    # f(w) = w + 0.5 w^2 has its critical point at w = -1, on the torus
+    with pytest.warns(AliasWarning):
+        diagonal_block_series(ConformalMapSpec(center=0.0, coeffs=(1.0, 0.5)), 16)
+
+
+CLOSE_MAPS = {
+    # disks 0.3 apart: the cross kernel's coefficients fall off like 1/1.3^n
+    "disks-1.15": ((-1.15, (1.0,)), (1.15, (1.0,))),
+    # critical point at radius 1.11
+    "quad-0.45": ((-3.0, (1.0, 0.45)), (3.0, (1.0,))),
+    # margin curves 0.003 apart: the unit torus lies close to the kernel's pole
+    "touching": ((-1.0515, (1.0,)), (1.0515, (1.0,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSE_MAPS))
+def test_assemble_dual_on_close_configs(name):
+    cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=a)
+                                  for c, a in CLOSE_MAPS[name]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        gr = assemble(cfg, 16, policy="dual")
+    assert np.nanmax(gr.agreement) <= 1e-12
 
 
 def test_assemble_dual_agreement(config_b):
@@ -83,7 +117,22 @@ def test_assemble_dual_agreement(config_b):
     assert np.nanmax(gr.agreement) < 1e-10
     assert gr.identity_defect < 1e-10
     tags = {tag for row in gr.method_tags for tag in row}
-    assert tags == {"definitional+kernel-series", "definitional+area-form"}
+    assert tags == {"definitional+kernel-series"}
+
+
+@pytest.mark.parametrize("name", ["config_b", "config_c"])
+def test_assemble_dual_at_trunc_64(request, name):
+    cfg = request.getfixturevalue(name)
+    gr = assemble(cfg, 64, policy="dual")
+    off = ~np.eye(cfg.n, dtype=bool)
+    assert np.max(gr.agreement[off]) <= 1e-12
+    diag = gr.agreement.diagonal()
+    affine = np.array([spec.degree == 1 for spec in cfg.maps])
+    assert np.max(diag[affine]) <= 1e-12
+    # the definitional block of config B's quadratic map, sampled at
+    # rho = 0.97, is itself off by about 2.5e-12 at this truncation; the
+    # kernel block moves by 1e-18 on a torus eight times larger
+    assert np.max(diag) <= 1e-11
 
 
 def test_assemble_rejects_impossible_tolerance(config_b):
