@@ -49,7 +49,6 @@ from .grunsky import (
     block_column_norms,
     diagonal_block_series,
     faber_pullback_block,
-    grunsky_column,
     norm_history,
     offdiagonal_block_series,
     operator_norm,

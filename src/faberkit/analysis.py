@@ -16,54 +16,52 @@ from .domain import curve_samples, evaluate_map, map_derivative, winding_number
 from .errors import PoleOutsideRegions
 from .faber import RationalFn, faber_series_table
 from .grunsky import apply_grunsky, assemble
-from .quadrature import Contour, cauchy_eval, DEFAULT_DMIN
+from .quadrature import Contour, cauchy_eval
 
 PROBE_OFFSET = 0.2
 PROBE_FAR_RADIUS = 10.0
 
 
-def probe_grid(config, n_per_circle=64, offset=PROBE_OFFSET, far_radius=None,
-               n_far=8, seed=None):
+def probe_grid(config, seed=None):
     """Evaluation points spread through the common exterior domain.
 
-    One circle rings each region at `offset` beyond its farthest boundary
-    point, one large circle surrounds everything, and a handful of points
-    approach infinity as reciprocals of a small circle.  A seed jitters
-    the angular phases; with seed None the grid is the fixed default.
+    A circle of 64 points rings each region at PROBE_OFFSET beyond its
+    farthest boundary point, one more surrounds everything, and eight
+    points approach infinity as reciprocals of a small circle.  A seed
+    jitters the angular phases; with seed None the grid is the fixed
+    default.
     """
     rng = np.random.default_rng(seed) if seed is not None else None
+    circle = 2 * np.pi * np.arange(64) / 64
     pts = []
     extents = []
     for spec in config.maps:
         bdry = curve_samples(spec, 1.0, 512)
         extents.append(float(np.max(np.abs(bdry))))
-        ring = float(np.max(np.abs(bdry - spec.center))) + offset
+        ring = float(np.max(np.abs(bdry - spec.center))) + PROBE_OFFSET
         phase = rng.uniform(0, 2 * np.pi) if rng is not None else 0.0
-        theta = phase + 2 * np.pi * np.arange(n_per_circle) / n_per_circle
-        pts.append(spec.center + ring * np.exp(1j * theta))
-    far = far_radius or max(PROBE_FAR_RADIUS, 1.5 * max(extents) + 2.0)
+        pts.append(spec.center + ring * np.exp(1j * (phase + circle)))
+    far = max(PROBE_FAR_RADIUS, 1.5 * max(extents) + 2.0)
     phase = rng.uniform(0, 2 * np.pi) if rng is not None else 0.0
-    theta = phase + 2 * np.pi * np.arange(n_per_circle) / n_per_circle
-    pts.append(far * np.exp(1j * theta))
-    theta = 2 * np.pi * np.arange(n_far) / n_far
+    pts.append(far * np.exp(1j * (phase + circle)))
+    theta = 2 * np.pi * np.arange(8) / 8
     pts.append(1.0 / ((1.0 / (2.0 * far)) * np.exp(1j * theta)))
     return np.concatenate(pts)
 
 
-def boundary_grid(config, offset=1.001, n_per_curve=32):
-    """Points hugging the boundary curves from the exterior side.
+def boundary_grid(config):
+    """32 points per curve on f({|w| = 1.001}), just outside each boundary.
 
     Sup errors over this grid see the full decay rate of a Faber series;
     grids held farther out report a faster, distance-discounted rate.
     """
-    pts = [curve_samples(spec, offset, n_per_curve) for spec in config.maps]
-    return np.concatenate(pts)
+    return np.concatenate([curve_samples(spec, 1.001, 32) for spec in config.maps])
 
 
-def region_of_point(config, q, n_samples=1024):
+def region_of_point(config, q):
     """Index of the region containing q, or None."""
     for i, spec in enumerate(config.maps):
-        if winding_number(curve_samples(spec, 1.0, n_samples), q) == 1:
+        if winding_number(curve_samples(spec, 1.0, 1024), q) == 1:
             return i
     return None
 
@@ -99,39 +97,34 @@ def decompose(config, h, probes=None):
     return DecompositionResult(components=comps, residual=residual)
 
 
-def projection_component(config, i, h, contour_radius=None, n_samples=1024,
-                         d_min=DEFAULT_DMIN):
+def projection_component(config, i, h):
     """Quadrature projection onto the component decaying outside region i.
 
     Returns an evaluator z -> -(1/2 pi i) * integral over f_i({|w|=r}) of
-    h(zeta)/(zeta-z) d zeta with r just outside the unit circle; for z in
-    the common exterior this is the same component decompose() builds
-    exactly.
+    h(zeta)/(zeta-z) d zeta with r = 1 + ext_margin; for z in the common
+    exterior this is the same component decompose() builds exactly.
     """
-    radius = contour_radius or (1.0 + config.ext_margin)
-    contour = Contour.image(config.maps[i], radius, n_samples=n_samples)
+    contour = Contour.image(config.maps[i], 1.0 + config.ext_margin)
     h_vals = h(contour.points())
 
     def evaluator(z):
-        return cauchy_eval(contour, h_vals, z, d_min=d_min)
+        return cauchy_eval(contour, h_vals, z)
 
     return evaluator
 
 
-def pullback_boundary(config, j, h, trunc, rho=1.0, n_samples=None):
-    """Fourier coefficients of h o f_j on the parameter circle, constant dropped.
+def pullback_boundary(config, j, h, trunc):
+    """Fourier coefficients of h o f_j on the unit circle, constant dropped.
 
     Band-limited to `trunc` on both sides.  For rational h with poles
     strictly inside the regions the samples are analytic across |w| = 1,
-    so rho = 1.0 is exact up to aliasing.
+    so they are exact up to aliasing.
     """
-    need = 4 * trunc + 9
-    n = n_samples or 512
-    while n < need:
+    n = 512
+    while n < 4 * trunc + 9:
         n *= 2
-    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
-    vals = h(evaluate_map(config.maps[j], w))
-    seq = sample_to_coeffs(vals, rho, m_neg=trunc, n_pos=trunc)
+    vals = h(evaluate_map(config.maps[j], np.exp(2j * np.pi * np.arange(n) / n)))
+    seq = sample_to_coeffs(vals, 1.0, m_neg=trunc, n_pos=trunc)
     return CoeffSeq(neg=seq.neg, pos=seq.pos, const=0j)
 
 
@@ -224,11 +217,9 @@ class SeriesErrorTable:
     terminated_at: int
 
 
-def faber_partial_sum_error(config, h, m_max, grid=None):
-    """Error table of the multi-boundary Faber partial sums of h."""
-    if grid is None:
-        grid = boundary_grid(config)
-    grid = np.asarray(grid, dtype=complex)
+def faber_partial_sum_error(config, h, m_max):
+    """Error table of the multi-boundary Faber partial sums of h on boundary_grid."""
+    grid = boundary_grid(config)
     coeffs = faber_coefficients(config, h, m_max)
     target = h(grid)
     contrib = np.zeros((m_max, grid.size), dtype=complex)
@@ -255,23 +246,23 @@ def faber_partial_sum_error(config, h, m_max, grid=None):
                             fitted_ratio=fitted, terminated_at=terminated_at)
 
 
-def dirichlet_norm_sigma(config, h, s=1.0, n_samples=2048):
+def dirichlet_norm_sigma(config, h, n_samples=2048):
     """Dirichlet seminorm of h over the common exterior domain.
 
     Green's identity turns the area integral of |h'|^2 into boundary
     terms; with every curve traversed counterclockwise in the parameter
     and h vanishing at infinity,
 
-        ||h||^2 = - sum_i (1/2i) * integral over f_i({|w|=s}) of conj(h) h' dz.
+        ||h||^2 = - sum_i (1/2i) * integral over f_i({|w|=1}) of conj(h) h' dz.
 
     Rational h with poles inside the regions is analytic across the
-    curves, so s = 1.0 is both admissible and the most accurate choice.
+    curves, so the trapezoid rule on them is spectrally accurate.
     """
     hp = h.derivative()
     total = 0j
     for spec in config.maps:
         theta = 2 * np.pi * np.arange(n_samples) / n_samples
-        w = s * np.exp(1j * theta)
+        w = np.exp(1j * theta)
         zeta = evaluate_map(spec, w)
         dz = map_derivative(spec, w) * 1j * w
         total += (2 * np.pi / n_samples) * np.sum(np.conj(h(zeta)) * hp(zeta) * dz)
@@ -288,55 +279,52 @@ def _laurent_at_infinity(h, n_terms):
     return out
 
 
-def _inside_region(spec, z, ext=0.0):
-    """Boolean mask: which z lie in f({|w| <= 1 + ext}).
+def _inside_region(spec, z):
+    """Boolean mask: which z lie in f({|w| <= 1}).
 
     Exact for degrees one and two; Newton otherwise (adequate away from
     critical values, which validated maps keep outside the closed disk).
     """
     z = np.asarray(z, dtype=complex)
-    lim = 1.0 + ext
     if spec.degree == 1:
-        return np.abs(z - spec.center) <= np.abs(spec.coeffs[0]) * lim
+        return np.abs(z - spec.center) <= np.abs(spec.coeffs[0])
     if spec.degree == 2:
         a1, a2 = spec.coeffs
         disc = np.sqrt(a1 * a1 + 4.0 * a2 * (z - spec.center))
         w1 = (-a1 + disc) / (2.0 * a2)
         w2 = (-a1 - disc) / (2.0 * a2)
-        return np.minimum(np.abs(w1), np.abs(w2)) <= lim
+        return np.minimum(np.abs(w1), np.abs(w2)) <= 1.0
     w = (z - spec.center) / spec.coeffs[0]
     for _ in range(50):
         dw = map_derivative(spec, w)
         dw = np.where(np.abs(dw) < 1e-14, 1e-14, dw)
         w = w - (evaluate_map(spec, w) - z) / dw
     ok = np.abs(evaluate_map(spec, w) - z) <= 1e-9 * (1.0 + np.abs(z))
-    return ok & (np.abs(w) <= lim)
+    return ok & (np.abs(w) <= 1.0)
 
 
-def dirichlet_norm_sigma_area(config, h, n_cells=2048, sub=32, r_out=None,
-                              tail_terms=80):
+def dirichlet_norm_sigma_area(config, h, n_cells=2048):
     """Masked 2-d quadrature oracle for the exterior Dirichlet seminorm.
 
     Integrates |h'|^2 over a large disk minus the interior regions on a
-    cartesian grid (per-cell Gauss inside, subcell coverage counts on
-    boundary-straddling cells) and adds the exact series tail beyond the
-    disk.  Slower and cruder than the boundary reduction, but it never
-    touches a contour identity, which is the point.
+    cartesian grid (per-cell Gauss inside, 32 x 32 subcell coverage counts
+    on boundary-straddling cells) and adds the exact series tail, to 80
+    terms, beyond the disk.  Slower and cruder than the boundary
+    reduction, but it never touches a contour identity, which is the point.
     """
     hp = h.derivative()
 
     def g(z):
         return np.abs(hp(z)) ** 2
 
-    if r_out is None:
-        extent = 0.0
-        for spec in config.maps:
-            extent = max(extent, float(np.max(np.abs(curve_samples(spec, 1.0, 256)))))
-        pole_r = max((abs(p) for p, _, _ in h.terms), default=0.0)
-        r_out = max(6.0, 2.0 * max(extent, pole_r))
+    extent = 0.0
+    for spec in config.maps:
+        extent = max(extent, float(np.max(np.abs(curve_samples(spec, 1.0, 256)))))
+    pole_r = max((abs(p) for p, _, _ in h.terms), default=0.0)
+    r_out = max(6.0, 2.0 * max(extent, pole_r))
 
-    tail_coeff = _laurent_at_infinity(h, tail_terms)
-    mus = np.arange(1, tail_terms + 1, dtype=float)
+    tail_coeff = _laurent_at_infinity(h, 80)
+    mus = np.arange(1, 81, dtype=float)
     tail = float(np.pi * np.sum(mus * np.abs(tail_coeff) ** 2 * r_out ** (-2 * mus)))
 
     def inside_domain(z):
@@ -374,6 +362,7 @@ def dirichlet_norm_sigma_area(config, h, n_cells=2048, sub=32, r_out=None,
     # boundary cells: midpoint at subcell resolution with coverage masking
     xm, ym = np.nonzero(mixed)
     if xm.size:
+        sub = 32
         so = (np.arange(sub) + 0.5) * (step / sub)
         sgrid = so[:, None] + 1j * so[None, :]
         cell_area = (step / sub) ** 2

@@ -8,6 +8,7 @@ seminorms use the convention ||z^{-m}||^2 = pi*m and ||z^n||^2 = pi*n, and
 the boundary trace norm squared is pi * sum |n| |a_n|^2.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 
 from .errors import AliasWarning
 
-DEFAULT_BAND = 64
-DEFAULT_SAMPLES = 512
 ALIAS_TOL = 1e-8
 
 
@@ -45,22 +44,6 @@ class CoeffSeq:
     def zero(cls):
         return cls(neg=np.zeros(0), pos=np.zeros(0), const=0j)
 
-    @classmethod
-    def from_terms(cls, terms, const=0j):
-        """Build from {frequency: coefficient} with nonzero frequencies."""
-        m_neg = max((-n for n in terms if n < 0), default=0)
-        n_pos = max((n for n in terms if n > 0), default=0)
-        neg = np.zeros(m_neg, dtype=complex)
-        pos = np.zeros(n_pos, dtype=complex)
-        for n, a in terms.items():
-            if n == 0:
-                raise ValueError("use const for the zero frequency")
-            if n < 0:
-                neg[-n - 1] = a
-            else:
-                pos[n - 1] = a
-        return cls(neg=neg, pos=pos, const=const)
-
     def coeff(self, n):
         if n == 0:
             return self.const
@@ -87,12 +70,7 @@ def dirichlet_norm_plus(s):
 
 def h_half_norm(s):
     """Boundary trace norm sqrt(pi * sum over both halves of |n| |a_n|^2)."""
-    total = 0.0
-    for n in range(1, s.neg.size + 1):
-        total += n * abs(s.neg[n - 1]) ** 2
-    for n in range(1, s.pos.size + 1):
-        total += n * abs(s.pos[n - 1]) ** 2
-    return float(np.sqrt(np.pi * total))
+    return math.hypot(dirichlet_norm_minus(s), dirichlet_norm_plus(s))
 
 
 def project_minus(s):
@@ -144,12 +122,12 @@ def eval_series(s, z):
     return acc
 
 
-def sample_to_coeffs(samples, rho, m_neg, n_pos, alias_tol=ALIAS_TOL):
+def sample_to_coeffs(samples, rho, m_neg, n_pos):
     """Laurent coefficients from uniform samples on |w| = rho.
 
     samples[t] = h(rho * exp(2 pi i t / N)).  Coefficient a_n is the n-th
     DFT bin rescaled by rho^{-n}.  Needs N >= 2*(m_neg + n_pos) + 1; when
-    the unused middle of the spectrum sits above alias_tol relative to the
+    the unused middle of the spectrum sits above ALIAS_TOL relative to the
     peak, an AliasWarning is issued (the band is then unreliable).
     """
     samples = np.asarray(samples, dtype=complex)
@@ -166,9 +144,9 @@ def sample_to_coeffs(samples, rho, m_neg, n_pos, alias_tol=ALIAS_TOL):
         lo, hi = n_pos + 1, n_fft - m_neg
     gap = np.abs(spec[lo:hi]) if hi > lo else np.zeros(0)
     floor = float(np.max(gap)) if gap.size else 0.0
-    if peak > 0 and floor > alias_tol * peak:
+    if peak > 0 and floor > ALIAS_TOL * peak:
         warnings.warn(
-            "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, alias_tol * peak),
+            "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak),
             AliasWarning,
         )
     ns = np.arange(1, n_pos + 1)

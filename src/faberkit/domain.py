@@ -89,18 +89,20 @@ def map_derivative(spec, w):
     return acc
 
 
-def invert_map(spec, zeta, tol=1e-12, ext_margin=DEFAULT_EXT_MARGIN, max_iter=80):
+def invert_map(spec, zeta, ext_margin=DEFAULT_EXT_MARGIN):
     """Solve f(w) = zeta for the preimage in the extended disk.
 
-    Damped Newton iteration seeded with the affine inverse (zeta - p)/a_1.
+    Damped Newton iteration seeded with the affine inverse (zeta - p)/a_1,
+    to a residual of 1e-12 relative to max(1, |zeta - p|) within 80 steps.
     Raises NonConvergence when the residual stalls and OutsideRange when the
     converged root lies outside |w| <= 1 + ext_margin.
     """
+    tol = 1e-12
     zeta = complex(zeta)
     w = (zeta - spec.center) / spec.coeffs[0]
     resid = abs(evaluate_map(spec, w) - zeta)
     scale = max(1.0, abs(zeta - spec.center))
-    for _ in range(max_iter):
+    for _ in range(80):
         if resid <= tol * scale:
             break
         deriv = map_derivative(spec, w)
@@ -221,7 +223,7 @@ def winding_number(points, z0):
     return int(np.rint(total))
 
 
-def validate_config(config, n_samples=DEFAULT_BOUNDARY_SAMPLES):
+def validate_config(config):
     """Geometric admissibility checks for a configuration.
 
     Per map: f' has no zero in the extended disk (exact, via polynomial
@@ -232,6 +234,7 @@ def validate_config(config, n_samples=DEFAULT_BOUNDARY_SAMPLES):
     sampled heuristics; the derivative check is exact.
     """
     n = config.n
+    n_samples = DEFAULT_BOUNDARY_SAMPLES
     eps = config.ext_margin
     failures = []
     map_reports = []

@@ -22,10 +22,7 @@ import functools
 import numpy as np
 from dataclasses import dataclass
 
-from .domain import evaluate_map
 from .quadrature import Contour, cauchy_eval
-
-DEFAULT_ORACLE_RADIUS = 0.9
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,6 @@ class FaberPoly:
 
     center: complex
     coeffs: tuple
-    source_index: int = -1  # which map of a config produced it, -1 if unattached
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
@@ -88,12 +84,6 @@ class RationalFn:
     @classmethod
     def single(cls, pole, order, coeff):
         return cls(terms=((pole, order, coeff),))
-
-    @classmethod
-    def from_faber(cls, poly):
-        return cls(terms=tuple(
-            (poly.center, k + 1, c) for k, c in enumerate(poly.coeffs)
-        ))
 
     @property
     def is_zero(self):
@@ -167,14 +157,14 @@ def faber_polynomial(spec, m):
     return FaberPoly(center=spec.center, coeffs=tuple(table[:m, m - 1]))
 
 
-def faber_oracle(spec, m, z, r=DEFAULT_ORACLE_RADIUS, n_samples=2048):
+def faber_oracle(spec, m, z):
     """Contour-quadrature value of the degree-m Faber function at z.
 
-    Integrates f^{-1}(zeta)^{-m}/(zeta - z) over f({|w|=r}); valid for z in
-    the unbounded component of the curve complement, which is where the
-    principal-part formula is being checked.
+    Integrates f^{-1}(zeta)^{-m}/(zeta - z) over f({|w|=0.9}) with 2048
+    samples; valid for z in the unbounded component of the curve
+    complement, which is where the principal-part formula is being checked.
     """
-    contour = Contour.image(spec, r, n_samples=n_samples)
+    contour = Contour.image(spec, 0.9, n_samples=2048)
     w = contour.parameter_points()
     h_samples = w ** (-float(m))
     return cauchy_eval(contour, h_samples, z)

@@ -8,10 +8,12 @@ pullback of the i-th Faber function through the j-th map:
 with monomial entries b_nm defined by Gr_{ji}(z^{-m}) = sum_n b_nm z^n.
 Two independent routes compute the same blocks:
 
-* definitional: sample Phi^i_m o f_j on a circle |w| = rho and read the
-  coefficients off an FFT.  The negative frequencies must come back as
-  exactly delta_{ij} z^{-m}; the residual of that identity is recorded on
-  every call and is the cheapest global health check of the pipeline.
+* definitional: sample Phi^i_m o f_j on the unit circle |w| = 1 and read
+  the coefficients off an FFT.  Validated maps are univalent on
+  |w| <= 1 + ext_margin, so the samples are analytic across the circle.
+  The negative frequencies must come back as exactly delta_{ij} z^{-m};
+  the residual of that identity is recorded on every call and is the
+  cheapest global health check of the pipeline.
 
 * kernel series: every entry is a Taylor coefficient of a kernel analytic
   on the closed bidisk.  On the diagonal, with the divided difference
@@ -37,12 +39,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import pseries
-from .coeffs import CoeffSeq, sample_to_coeffs
+from .coeffs import CoeffSeq
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
-from .faber import faber_polynomial, faber_series_table
+from .faber import faber_series_table
 
-DEFAULT_DIAG_RHO = 0.97
 DEFAULT_METHOD_TOL = 1e-6
 DUAL_METHOD_MAX_TRUNC = 24
 
@@ -55,7 +56,7 @@ def _fft_samples(trunc):
     return n
 
 
-def faber_pullback_block(config, j, i, trunc, rho=None, n_samples=None):
+def faber_pullback_block(config, j, i, trunc, n_samples=None):
     """Definitional monomial block and its identity-recovery defect.
 
     Returns (b, defect) where b[n-1, m-1] is the z^n coefficient of
@@ -63,49 +64,19 @@ def faber_pullback_block(config, j, i, trunc, rho=None, n_samples=None):
     negative frequencies from delta_{ij} z^{-m}.
     """
     spec_i = config.maps[i]
-    spec_j = config.maps[j]
-    if rho is None:
-        rho = DEFAULT_DIAG_RHO if i == j else 1.0
-    if i == j and not (0.0 < rho < 1.0):
-        raise ValueError("diagonal blocks need rho in (0, 1)")
     n = n_samples or _fft_samples(trunc)
     table = faber_series_table(spec_i, trunc)
-    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
-    zeta = evaluate_map(spec_j, w)
+    zeta = evaluate_map(config.maps[j], np.exp(2j * np.pi * np.arange(n) / n))
     u = 1.0 / (zeta - spec_i.center)
     powers = u[:, None] ** np.arange(1, trunc + 1)[None, :]
     vals = powers @ table[:trunc, :trunc]  # vals[t, m-1] = Phi^i_m(f_j(w_t))
     spec = np.fft.fft(vals, axis=0) / n
     ns = np.arange(1, trunc + 1)
-    pos = spec[ns, :] * (rho ** (-ns.astype(float)))[:, None]
-    neg = spec[(n - ns) % n, :] * (rho ** ns.astype(float))[:, None]
+    pos = spec[ns, :]
+    neg = spec[n - ns, :]
     expect = np.eye(trunc, dtype=complex) if i == j else np.zeros((trunc, trunc))
     defect = float(np.max(np.abs(neg - expect)))
     return pos, defect
-
-
-def grunsky_column(config, j, i, m, rho=None, n_pos=None, n_samples=None):
-    """Single block column as coefficient sequences.
-
-    Returns (pos, neg): pos is the column of Gr_{ji} applied to z^{-m} in
-    the monomial basis, neg the recovered negative part, which equals
-    z^{-m} when i == j and vanishes otherwise.
-    """
-    spec_i = config.maps[i]
-    spec_j = config.maps[j]
-    if rho is None:
-        rho = DEFAULT_DIAG_RHO if i == j else 1.0
-    if i == j and not (0.0 < rho < 1.0):
-        raise ValueError("diagonal columns need rho in (0, 1)")
-    band = n_pos or max(m, 64)
-    n = n_samples or _fft_samples(max(band, m))
-    phi = faber_polynomial(spec_i, m)
-    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
-    vals = phi(evaluate_map(spec_j, w))
-    seq = sample_to_coeffs(vals, rho, m_neg=m + 2, n_pos=band)
-    pos = CoeffSeq(neg=np.zeros(0), pos=seq.pos, const=0j)
-    neg = CoeffSeq(neg=seq.neg, pos=np.zeros(0), const=0j)
-    return pos, neg
 
 
 def diagonal_block_series(spec, trunc):
@@ -185,8 +156,7 @@ class GrunskyMatrix:
         return np.sqrt(n_idx[None, :] / n_idx[:, None]) * self.blocks[j][i]
 
 
-def assemble(config, trunc, policy="auto", rho=None, n_samples=None,
-             method_tol=DEFAULT_METHOD_TOL):
+def assemble(config, trunc, policy="auto", method_tol=DEFAULT_METHOD_TOL):
     """Build all blocks, cross-checking methods per the policy.
 
     policy "definitional" runs only the sampling route; "dual" always
@@ -205,8 +175,7 @@ def assemble(config, trunc, policy="auto", rho=None, n_samples=None,
     worst_defect = 0.0
     for j in range(n):
         for i in range(n):
-            b, defect = faber_pullback_block(config, j, i, trunc,
-                                             rho=rho, n_samples=n_samples)
+            b, defect = faber_pullback_block(config, j, i, trunc)
             worst_defect = max(worst_defect, defect)
             tag = "definitional"
             if dual:
@@ -278,15 +247,16 @@ def write_matrix(gr, fileobj, sigma_history=None):
     for t in sorted(history):
         fileobj.write("sigma_max[%d] = %.17g\n" % (t, history[t]))
     fileobj.write("identity_defect = %.3g\n" % gr.identity_defect)
+    row_fmt = " ".join(["%.17g,%.17g"] * gr.trunc) + "\n"
     for j in range(gr.n):
         for i in range(gr.n):
             gap = gr.agreement[j, i]
             gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
             fileobj.write("block %d %d method=%s agreement=%s\n"
                           % (j, i, gr.method_tags[j][i], gap_txt))
-            for row in gr.blocks[j][i]:
-                fileobj.write(" ".join("%.17g,%.17g" % (c.real, c.imag)
-                                       for c in row) + "\n")
+            # each row as interleaved real and imaginary parts
+            for row in np.ascontiguousarray(gr.blocks[j][i], dtype=complex).view(float):
+                fileobj.write(row_fmt % tuple(row))
 
 
 def read_matrix(fileobj):
@@ -316,13 +286,11 @@ def read_matrix(fileobj):
         tags[j][i] = meta.get("method", "")
         if meta.get("agreement", "nan") != "nan":
             agreement[j, i] = float(meta["agreement"])
-        rows = []
-        for r in range(trunc):
-            entries = lines[pos + 1 + r].split()
-            row = [complex(float(e.split(",")[0]), float(e.split(",")[1]))
-                   for e in entries]
-            rows.append(row)
-        blocks[j][i] = np.array(rows, dtype=complex)
+        # one row at a time: the split strings of a whole block would take
+        # several times the memory of the block itself
+        rows = [np.array(ln.replace(",", " ").split(), dtype=float)
+                for ln in lines[pos + 1 : pos + 1 + trunc]]
+        blocks[j][i] = np.array(rows).view(complex)
         pos += 1 + trunc
     return GrunskyMatrix(n=n, trunc=trunc, blocks=blocks, method_tags=tags,
                          agreement=agreement,

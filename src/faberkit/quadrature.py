@@ -55,9 +55,9 @@ class Contour:
                    orientation=orientation, n_samples=n_samples)
 
     @classmethod
-    def image(cls, map_spec, radius, orientation=1, n_samples=DEFAULT_NQ):
+    def image(cls, map_spec, radius, n_samples=DEFAULT_NQ):
         return cls(radius=radius, center=map_spec.center, map_spec=map_spec,
-                   orientation=orientation, n_samples=n_samples)
+                   n_samples=n_samples)
 
     def parameter_points(self, n=None):
         n = n or self.n_samples
@@ -76,10 +76,6 @@ class Contour:
         if self.map_spec is None:
             return 1j * w
         return map_derivative(self.map_spec, w) * 1j * w
-
-    def with_samples(self, n):
-        return Contour(radius=self.radius, center=self.center, map_spec=self.map_spec,
-                       orientation=self.orientation, n_samples=n)
 
 
 def contour_integral(fn, contour, n=None):
