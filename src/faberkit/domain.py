@@ -185,31 +185,57 @@ def _cross(u, v):
 
 
 def _curve_self_intersects(points):
-    """Proper-crossing test on the closed polyline through `points`."""
+    """Proper-crossing test on the closed polyline through `points`.
+
+    Segment k runs from a_k = points[k] to a_k + d_k.  Two segments that
+    meet at a point p have midpoints within |d_i|/2 + |d_j|/2 <= max|d| of
+    each other (each midpoint lies within half its segment's length of p),
+    so every crossing pair is among the pairs of midpoints no farther apart
+    than the longest segment, which a KD-tree lists in O(N log N).  The
+    radius is widened by a few ulps of the coordinates to cover rounding
+    in the midpoints.  Adjacent segments (sharing a vertex) are skipped;
+    every remaining candidate gets the strict sign test in both
+    orientations, so the answer is exact for the sampled polyline and the
+    same as testing all pairs.
+    """
     n = points.size
     a = points
     b = np.roll(points, -1)
     d = b - a
-    block = 512
-    for start in range(0, n, block):
-        idx = np.arange(start, min(start + block, n))
-        ai = a[idx][:, None]
-        di = d[idx][:, None]
-        s1 = _cross(di, a[None, :] - ai)
-        s2 = _cross(di, b[None, :] - ai)
-        t1 = _cross(d[None, :], ai - a[None, :])
-        t2 = _cross(d[None, :], (ai + di) - a[None, :])
-        hit = (s1 * s2 < 0) & (t1 * t2 < 0)
-        gap = (idx[:, None] - np.arange(n)[None, :]) % n
-        hit &= (gap > 1) & (gap < n - 1)
-        if np.any(hit):
+    mid = 0.5 * (a + b)
+    radius = np.max(np.abs(d)) + 4.0 * np.finfo(float).eps * np.max(np.abs(mid))
+    pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
+        radius, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    gap = np.abs(j - i)
+    keep = (gap > 1) & (gap < n - 1)
+    i, j = i[keep], j[keep]
+    for p, q in ((i, j), (j, i)):
+        s1 = _cross(d[p], a[q] - a[p])
+        s2 = _cross(d[p], b[q] - a[p])
+        t1 = _cross(d[q], a[p] - a[q])
+        t2 = _cross(d[q], (a[p] + d[p]) - a[q])
+        if np.any((s1 * s2 < 0) & (t1 * t2 < 0)):
             return True
     return False
 
 
 def _pairwise_min_distance(pa, pb):
+    """Smallest distance between a sample of pa and a sample of pb.
+
+    The nearest neighbours of every 64th point of pa bound the minimum
+    from above by D.  The full query then searches only below the next
+    float after D (its bound is strict): it prunes most of the tree yet
+    returns the minimum pair distance as an unbounded query computes it.
+    """
     tree = cKDTree(np.column_stack([pb.real, pb.imag]))
-    dist, _ = tree.query(np.column_stack([pa.real, pa.imag]), k=1)
+    xa = np.column_stack([pa.real, pa.imag])
+    bound = float(np.min(tree.query(xa[::64], k=1)[0]))
+    # the tree compares squared distances: the next float after 0 squares
+    # to 0, and a strict bound of 0 would admit nothing
+    if bound == 0.0:
+        return 0.0
+    dist, _ = tree.query(xa, k=1, distance_upper_bound=np.nextafter(bound, np.inf))
     return float(np.min(dist))
 
 
@@ -230,8 +256,12 @@ def validate_config(config):
     roots) and the radius-1 image is a simple closed curve (sampled
     polyline test).  Across maps: the margin curves keep at least
     `config.separation` apart, stay outside one another, and no center
-    lies inside a foreign region.  Distance and intersection checks are
-    sampled heuristics; the derivative check is exact.
+    lies inside a foreign region.  Distance and intersection checks work
+    on the curves sampled at DEFAULT_BOUNDARY_SAMPLES points: they are
+    exact for those polylines (the crossing test on KD-tree candidate
+    pairs, the distances as nearest sample pairs) but only approximate the
+    analytic curves.  The derivative check is exact.  Each curve costs
+    O(N log N) in the sample count N.
     """
     n = config.n
     n_samples = DEFAULT_BOUNDARY_SAMPLES

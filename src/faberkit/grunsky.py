@@ -35,6 +35,8 @@ are G_nm = sqrt(n/m) b_nm; operator norms are singular values of the
 stacked orthonormal matrix.
 """
 
+import itertools
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -260,38 +262,39 @@ def write_matrix(gr, fileobj, sigma_history=None):
 
 
 def read_matrix(fileobj):
-    """Parse a write_matrix export back into a GrunskyMatrix."""
-    lines = [ln.rstrip("\n") for ln in fileobj]
-    if not lines or lines[0] != "faberkit.v1":
+    """Parse a write_matrix export back into a GrunskyMatrix.
+
+    The file is read as a stream, one block's rows at a time.
+    """
+    lines = (ln.rstrip("\n") for ln in fileobj)
+    if next(lines, None) != "faberkit.v1":
         raise ValueError("not a faberkit.v1 file")
     header = {}
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith("block "):
-        if "=" in lines[pos]:
-            key, val = lines[pos].split("=", 1)
+    line = next(lines, None)
+    while line is not None and not line.startswith("block "):
+        if "=" in line:
+            key, val = line.split("=", 1)
             header[key.strip()] = val.strip()
-        pos += 1
+        line = next(lines, None)
     n = int(header["n"])
     trunc = int(header["trunc"])
     blocks = [[None] * n for _ in range(n)]
     tags = [[None] * n for _ in range(n)]
     agreement = np.full((n, n), np.nan)
-    while pos < len(lines):
-        parts = lines[pos].split()
-        if not parts or parts[0] != "block":
-            pos += 1
-            continue
-        j, i = int(parts[1]), int(parts[2])
-        meta = dict(p.split("=", 1) for p in parts[3:])
-        tags[j][i] = meta.get("method", "")
-        if meta.get("agreement", "nan") != "nan":
-            agreement[j, i] = float(meta["agreement"])
-        # one row at a time: the split strings of a whole block would take
-        # several times the memory of the block itself
-        rows = [np.array(ln.replace(",", " ").split(), dtype=float)
-                for ln in lines[pos + 1 : pos + 1 + trunc]]
-        blocks[j][i] = np.array(rows).view(complex)
-        pos += 1 + trunc
+    while line is not None:
+        parts = line.split()
+        if parts and parts[0] == "block":
+            j, i = int(parts[1]), int(parts[2])
+            meta = dict(p.split("=", 1) for p in parts[3:])
+            tags[j][i] = meta.get("method", "")
+            if meta.get("agreement", "nan") != "nan":
+                agreement[j, i] = float(meta["agreement"])
+            # one row at a time: the split strings of a whole block would
+            # take several times the memory of the block itself
+            rows = [np.array(ln.replace(",", " ").split(), dtype=float)
+                    for ln in itertools.islice(lines, trunc)]
+            blocks[j][i] = np.array(rows).view(complex)
+        line = next(lines, None)
     return GrunskyMatrix(n=n, trunc=trunc, blocks=blocks, method_tags=tags,
                          agreement=agreement,
                          identity_defect=float(header.get("identity_defect", "nan")))

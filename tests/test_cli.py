@@ -2,14 +2,15 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import faberkit
-from faberkit import read_matrix
-from faberkit.cli import main, parse_polespec
+from faberkit import read_matrix, validate_config
+from faberkit.cli import load_config_file, main, parse_polespec
 
 TWO_DISKS = {
     "maps": [
@@ -58,6 +59,29 @@ def test_validate_overlap_fails(cfg_file, tmp_path):
     rc = main(["validate", "--config", cfg_file(OVERLAP), "--out", str(out)])
     assert rc == 1
     assert "passed = false" in (out / "validation.txt").read_text()
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name, passed", [("three_disks", True), ("overlap", False)])
+def test_validate_file_matches_report(name, passed, cfg_file, tmp_path):
+    # the rows of validation.txt against the ValidationReport they print
+    path = str(CONFIGS / "three_disks.json") if name == "three_disks" else cfg_file(OVERLAP)
+    out = tmp_path / "out"
+    rc = main(["validate", "--config", path, "--out", str(out)])
+    report = validate_config(load_config_file(path))
+    assert report.passed == passed
+    assert rc == (0 if passed else 1)
+    rows = dict(line.split(" = ", 1)
+                for line in (out / "validation.txt").read_text().splitlines()
+                if " = " in line)
+    assert rows["passed"] == ("true" if report.passed else "false")
+    assert float(rows["min_curve_distance"]) == report.min_curve_distance()
+    for i in range(len(report.map_reports)):
+        assert [int(w) for w in rows["winding %d" % i].split()] == list(report.winding[i])
+        assert ([float(d) for d in rows["curve_distances %d" % i].split()]
+                == list(report.curve_distances[i]))
 
 
 def test_missing_config_is_input_error(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from faberkit import (
     ConformalMapSpec,
@@ -15,6 +16,7 @@ from faberkit import (
     validate_config,
     winding_number,
 )
+from faberkit.domain import _curve_self_intersects, _pairwise_min_distance
 
 
 def test_evaluate_map_scalar_and_array():
@@ -122,3 +124,195 @@ def test_validate_config_margin_monotonic(config_b):
 def test_validation_report_winding_is_identity(config_c):
     report = validate_config(config_c)
     np.testing.assert_array_equal(report.winding, np.eye(3, dtype=int))
+
+
+# --- crossing test and nearest-curve distances -----------------------------
+
+def _cross(u, v):
+    return u.real * v.imag - u.imag * v.real
+
+
+def _all_pairs_self_intersects(points):
+    """Reference: the strict crossing test on every pair of segments."""
+    n = points.size
+    a = points
+    b = np.roll(points, -1)
+    d = b - a
+    block = 512
+    for start in range(0, n, block):
+        idx = np.arange(start, min(start + block, n))
+        ai = a[idx][:, None]
+        di = d[idx][:, None]
+        s1 = _cross(di, a[None, :] - ai)
+        s2 = _cross(di, b[None, :] - ai)
+        t1 = _cross(d[None, :], ai - a[None, :])
+        t2 = _cross(d[None, :], (ai + di) - a[None, :])
+        hit = (s1 * s2 < 0) & (t1 * t2 < 0)
+        gap = (idx[:, None] - np.arange(n)[None, :]) % n
+        hit &= (gap > 1) & (gap < n - 1)
+        if np.any(hit):
+            return True
+    return False
+
+
+def _segment_lengths(points):
+    return np.abs(np.roll(points, -1) - points)
+
+
+@st.composite
+def polynomial_curves(draw):
+    """Image of the unit circle under a random polynomial of degree 2-4.
+
+    Half the draws sample the circle at non-uniform angles: the angle
+    steps then vary by a factor (1 + c) / (1 - c) >= 39, so that segment
+    lengths mostly differ 20 times or more.
+    """
+    degree = draw(st.integers(2, 4))
+    n = draw(st.integers(64, 1024))
+    size = st.floats(0.0, 0.7)
+    phase = st.floats(0.0, 2 * np.pi)
+    coeffs = [1.0] + [draw(size) * np.exp(1j * draw(phase)) for _ in range(degree - 1)]
+    center = complex(draw(st.floats(-5, 5)), draw(st.floats(-5, 5)))
+    u = np.arange(n) / n
+    if draw(st.booleans()):
+        c = draw(st.floats(0.95, 0.995))
+        u = u + c * np.sin(2 * np.pi * u) / (2 * np.pi)
+    spec = ConformalMapSpec(center=center, coeffs=tuple(coeffs))
+    return evaluate_map(spec, np.exp(2j * np.pi * (u + draw(st.floats(0.0, 1.0)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=polynomial_curves())
+def test_crossing_test_matches_all_pairs(points):
+    assert _curve_self_intersects(points) == _all_pairs_self_intersects(points)
+
+
+def test_polynomial_curves_cover_both_answers_and_uneven_segments():
+    # the strategy above reaches both answers and the 20x length spread
+    found = {"cross": False, "simple": False, "uneven": False}
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(points=polynomial_curves())
+    def probe(points):
+        found["cross" if _all_pairs_self_intersects(points) else "simple"] = True
+        lengths = _segment_lengths(points)
+        if lengths.max() >= 20 * lengths.min():
+            found["uneven"] = True
+
+    probe()
+    assert all(found.values()), found
+
+
+def test_crossing_test_figure_eight():
+    # Gerono lemniscate, sampled off its double point so the two branches
+    # cross inside a segment rather than at a shared vertex
+    t = 2 * np.pi * (np.arange(200) + 0.5) / 200
+    points = np.sin(t) + 1j * np.sin(t) * np.cos(t)
+    assert _curve_self_intersects(points)
+    assert _all_pairs_self_intersects(points)
+
+
+def test_crossing_test_loop_shorter_than_longest_segment():
+    # a unit square whose bottom edge ties a 0.02-wide bow tie, far smaller
+    # than the 0.48-long edges next to it
+    points = np.array([0, 0.5, 0.52 + 0.02j, 0.5 + 0.02j, 0.52, 1, 1 + 1j, 1j])
+    assert _segment_lengths(points).max() > 10 * 0.02
+    assert _curve_self_intersects(points)
+    assert _all_pairs_self_intersects(points)
+
+
+def test_crossing_test_long_segments_crossing_near_their_ends():
+    # the two unit-long segments cross 1% from the end of each, so their
+    # midpoints are 0.9 apart: nearly the full candidate radius
+    points = np.array([0, 1, 0.98 + 0.01j, 0.98 + 0.01j + np.exp(-0.25j * np.pi),
+                       1.0 - 1.2j, 0.3 - 0.9j])
+    lengths = _segment_lengths(points)
+    assert lengths.max() == lengths[0]
+    assert abs(0.5 * (points[2] + points[3]) - 0.5) > 0.85 * lengths.max()
+    assert _curve_self_intersects(points)
+    assert _all_pairs_self_intersects(points)
+
+
+def test_crossing_test_vertex_on_a_foreign_edge():
+    # a quadrilateral whose last vertex lies on its first edge up to
+    # rounding: whether the strict test fires hangs on the last bits of the
+    # cross products, and both orientations of a pair round differently
+    rng = np.random.default_rng(7)
+    answers = set()
+    for _ in range(300):
+        p0 = complex(*rng.uniform(-3, 3, 2))
+        step = complex(1.0, rng.uniform(0.1, 3.0))
+        points = np.array([p0, p0 + step, p0 + step.imag * 1j + 0.5 + 1j,
+                           p0 + rng.uniform(0.3, 0.7) * step])
+        answer = _all_pairs_self_intersects(points)
+        answers.add(answer)
+        assert _curve_self_intersects(points) == answer
+    assert answers == {False, True}
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-9, 1e-14])
+def test_crossing_test_square_with_near_touching_edges(gap):
+    # a square cut by a slit whose two edges run parallel `gap` apart:
+    # a simple polygon, the edges of the slit never cross
+    corners = [0, 1, 1 + 1j, 1j, 0.5j + 0.5j * gap, 0.9 + 0.5j + 0.5j * gap,
+               0.9 + 0.5j - 0.5j * gap, 0.5j - 0.5j * gap]
+    points = np.concatenate([np.linspace(p, q, 16, endpoint=False)
+                             for p, q in zip(corners, corners[1:] + corners[:1])])
+    assert not _curve_self_intersects(points)
+    assert not _all_pairs_self_intersects(points)
+
+
+def test_crossing_test_without_candidate_pairs():
+    # midpoints of a regular 64-gon are at least 1.99 side lengths apart
+    # unless the segments share a vertex, so no pair is left to test
+    points = np.exp(2j * np.pi * np.arange(64) / 64)
+    a, b = points, np.roll(points, -1)
+    mid = 0.5 * (a + b)
+    pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
+        1.01 * np.abs(b - a).max(), output_type="ndarray")
+    gap = pairs[:, 1] - pairs[:, 0]
+    assert np.all((gap == 1) | (gap == 63))
+    assert not _curve_self_intersects(points)
+    assert not _all_pairs_self_intersects(points)
+
+
+def _unbounded_min_distance(pa, pb):
+    tree = cKDTree(np.column_stack([pb.real, pb.imag]))
+    return float(np.min(tree.query(np.column_stack([pa.real, pa.imag]), k=1)[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ra=st.floats(1e-3, 10.0),
+    rb=st.floats(1e-3, 10.0),
+    a2=st.floats(0.0, 0.3),
+    gap=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e3]),
+    angle=st.floats(0.0, 2 * np.pi),
+    na=st.sampled_from([1, 63, 64, 65, 4096]),
+    nb=st.sampled_from([1, 64, 4096]),
+)
+def test_pairwise_min_distance_is_exact(ra, rb, a2, gap, angle, na, nb):
+    # curves touching (gap 0), close, or far apart, of unequal sizes; the
+    # bounded search must return the very same float as a full query
+    spec_a = ConformalMapSpec(center=0.0, coeffs=(ra, a2 * ra))
+    spec_b = ConformalMapSpec(center=(ra * (1 + a2) + rb + gap) * np.exp(1j * angle),
+                              coeffs=(rb,))
+    pa = curve_samples(spec_a, 1.0, na)
+    pb = curve_samples(spec_b, 1.0, nb)
+    assert _pairwise_min_distance(pa, pb) == _unbounded_min_distance(pa, pb)
+    assert _pairwise_min_distance(pb, pa) == _unbounded_min_distance(pb, pa)
+
+
+def test_pairwise_min_distance_shared_sample():
+    # a sample point shared by both curves gives distance exactly 0
+    pa = curve_samples(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, 4096)
+    pb = np.concatenate([pa[:1], pa[:1] + 3.0 + 0.5j * np.arange(1, 200)])
+    assert _pairwise_min_distance(pa, pb) == 0.0
+    assert _pairwise_min_distance(pb, pa) == 0.0
+
+
+def test_validate_config_single_map_has_no_curve_distance(single_poly):
+    report = validate_config(single_poly)
+    assert report.passed
+    assert report.min_curve_distance() == np.inf
+    assert report.curve_distances.shape == (1, 1)
