@@ -120,12 +120,8 @@ def pullback_boundary(config, j, h, trunc):
     strictly inside the regions the samples are analytic across |w| = 1,
     so they are exact up to aliasing.
     """
-    n = 512
-    while n < 4 * trunc + 9:
-        n *= 2
-    vals = h(evaluate_map(config.maps[j], np.exp(2j * np.pi * np.arange(n) / n)))
-    seq = sample_to_coeffs(vals, 1.0, m_neg=trunc, n_pos=trunc)
-    return CoeffSeq(neg=seq.neg, pos=seq.pos, const=0j)
+    neg, pos = sample_to_coeffs(lambda w: h(evaluate_map(config.maps[j], w)), trunc)
+    return CoeffSeq(neg=neg, pos=pos, const=0j)
 
 
 @dataclass

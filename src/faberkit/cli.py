@@ -223,8 +223,7 @@ def build_parser():
         p.add_argument("--trunc", type=int, default=16)
         p.add_argument("--out", default=".")
         p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--policy", default="auto",
-                       choices=["auto", "dual", "definitional"])
+        p.add_argument("--policy", default="dual", choices=["dual", "definitional"])
         p.add_argument("--function", required=needs_fn,
                        help="rational function as 're,im,order,cre,cim;...' "
                             "(write --function=SPEC when SPEC starts with a dash)")

@@ -122,36 +122,38 @@ def eval_series(s, z):
     return acc
 
 
-def sample_to_coeffs(samples, rho, m_neg, n_pos):
-    """Laurent coefficients from uniform samples on |w| = rho.
+def _start_points(trunc):
+    """Least power of two >= max(128, 4 trunc + 9): the extractor's first N."""
+    return 1 << max(7, (4 * trunc + 8).bit_length())
 
-    samples[t] = h(rho * exp(2 pi i t / N)).  Coefficient a_n is the n-th
-    DFT bin rescaled by rho^{-n}.  Needs N >= 2*(m_neg + n_pos) + 1; when
-    the unused middle of the spectrum sits above ALIAS_TOL relative to the
-    peak, an AliasWarning is issued (the band is then unreliable).
+
+def sample_to_coeffs(fn, trunc):
+    """Fourier coefficients 1..trunc of both signs from samples on |w| = 1.
+
+    fn(w) returns samples along axis 0 at the N nodes w_t = exp(2 pi i t / N).
+    Returns (neg, pos) with neg[m-1] = a_{-m}, pos[n-1] = a_n along axis 0.
+    N starts at _start_points(trunc) and doubles while the fold band around
+    the Nyquist bin (N/8 to either side) holds more than ALIAS_TOL of the
+    spectral peak; past max(1024, start) an AliasWarning is issued instead
+    (the band is then unreliable).
     """
-    samples = np.asarray(samples, dtype=complex)
-    n_fft = samples.size
-    if n_fft < 2 * (m_neg + n_pos) + 1:
-        raise ValueError("need at least 2*(m_neg + n_pos) + 1 samples")
-    spec = np.fft.fft(samples) / n_fft
-    peak = float(np.max(np.abs(spec)))
-    # aliasing shows up at the Nyquist fold; spectrum between the requested
-    # band and the fold is legitimate out-of-band signal
-    lo = max(n_pos + 1, n_fft // 2 - n_fft // 8)
-    hi = min(n_fft - m_neg, n_fft // 2 + n_fft // 8 + 1)
-    if lo >= hi:
-        lo, hi = n_pos + 1, n_fft - m_neg
-    gap = np.abs(spec[lo:hi]) if hi > lo else np.zeros(0)
-    floor = float(np.max(gap)) if gap.size else 0.0
-    if peak > 0 and floor > ALIAS_TOL * peak:
-        warnings.warn(
-            "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak),
-            AliasWarning,
-        )
-    ns = np.arange(1, n_pos + 1)
-    ms = np.arange(1, m_neg + 1)
-    pos = spec[ns] * rho ** (-ns.astype(float)) if n_pos else np.zeros(0, dtype=complex)
-    neg = spec[(n_fft - ms) % n_fft] * rho ** ms.astype(float) if m_neg else np.zeros(0, dtype=complex)
-    return CoeffSeq(neg=neg, pos=pos, const=complex(spec[0]))
-
+    start = _start_points(trunc)
+    n = start
+    while True:
+        spec = np.fft.fft(fn(np.exp(2j * np.pi * np.arange(n) / n)), axis=0)
+        spec /= n
+        mag = np.abs(spec)
+        peak = float(np.max(mag))
+        floor = float(np.max(mag[n // 2 - n // 8 : n // 2 + n // 8 + 1]))
+        # written so that non-finite samples fail too
+        if floor <= ALIAS_TOL * peak:
+            break
+        if n >= max(1024, start):
+            warnings.warn(
+                "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak),
+                AliasWarning,
+            )
+            break
+        n *= 2
+    ns = np.arange(1, trunc + 1)
+    return spec[n - ns], spec[ns]

@@ -259,8 +259,9 @@ def validate_config(config):
     lies inside a foreign region.  Distance and intersection checks work
     on the curves sampled at DEFAULT_BOUNDARY_SAMPLES points: they are
     exact for those polylines (the crossing test on KD-tree candidate
-    pairs, the distances as nearest sample pairs) but only approximate the
-    analytic curves.  The derivative check is exact.  Each curve costs
+    pairs, the distances as nearest sample pairs, or 0 where eight probe
+    points of one curve find it overlapping another) but only approximate
+    the analytic curves.  The derivative check is exact.  Each curve costs
     O(N log N) in the sample count N.
     """
     n = config.n
@@ -290,16 +291,30 @@ def validate_config(config):
         curves_1.append(c1)
         curves_m.append(curve_samples(spec, 1.0 + eps, n_samples))
 
+    # Overlap of distinct regions shows up as nonzero winding of one curve
+    # around probe points of another even when sampled min distances stay
+    # above the floor; overlapping curves are 0 apart.
+    probe_idx = np.arange(0, n_samples, max(1, n_samples // 8))
+
+    def overlaps(curves):
+        return np.array([[i != j and any(winding_number(curves[i], z) != 0
+                                         for z in curves[j][probe_idx])
+                          for j in range(n)] for i in range(n)])
+
+    overlap_1 = overlaps(curves_1)
+    overlap_m = overlaps(curves_m)
     curve_dist = np.zeros((n, n))
     margin_dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            curve_dist[i, j] = curve_dist[j, i] = _pairwise_min_distance(
-                curves_1[i], curves_1[j]
-            )
-            margin_dist[i, j] = margin_dist[j, i] = _pairwise_min_distance(
-                curves_m[i], curves_m[j]
-            )
+            if not (overlap_1[i, j] or overlap_1[j, i]):
+                curve_dist[i, j] = curve_dist[j, i] = _pairwise_min_distance(
+                    curves_1[i], curves_1[j]
+                )
+            if not (overlap_m[i, j] or overlap_m[j, i]):
+                margin_dist[i, j] = margin_dist[j, i] = _pairwise_min_distance(
+                    curves_m[i], curves_m[j]
+                )
             if margin_dist[i, j] < config.separation:
                 failures.append(
                     "maps %d/%d: margin curves come within %.3g < separation %.3g"
@@ -317,19 +332,10 @@ def validate_config(config):
             if i != j and winding[i, j] != 0:
                 failures.append("center %d lies inside region %d" % (j, i))
 
-    # Overlap of distinct regions shows up as nonzero winding of one margin
-    # curve around probe points of another even when sampled min distances
-    # stay above the floor.
-    probe_idx = np.arange(0, n_samples, max(1, n_samples // 8))
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            probes = curves_m[j][probe_idx]
-            wind = [winding_number(curves_m[i], z) for z in probes]
-            if any(w != 0 for w in wind):
-                failures.append("margin curves %d and %d overlap" % (i, j))
-                break
+        j = np.flatnonzero(overlap_m[i])
+        if j.size:
+            failures.append("margin curves %d and %d overlap" % (i, j[0]))
 
     return ValidationReport(
         map_reports=map_reports,

@@ -9,7 +9,8 @@ with monomial entries b_nm defined by Gr_{ji}(z^{-m}) = sum_n b_nm z^n.
 Two independent routes compute the same blocks:
 
 * definitional: sample Phi^i_m o f_j on the unit circle |w| = 1 and read
-  the coefficients off an FFT.  Validated maps are univalent on
+  the coefficients off an FFT (coeffs.sample_to_coeffs, which sizes it
+  from its alias floor).  Validated maps are univalent on
   |w| <= 1 + ext_margin, so the samples are analytic across the circle.
   The negative frequencies must come back as exactly delta_{ij} z^{-m};
   the residual of that identity is recorded on every call and is the
@@ -30,6 +31,9 @@ Two independent routes compute the same blocks:
   b_nm = -[zeta^{m-1} z^n] K_ji.  Either kernel is sampled on the unit
   torus and its coefficients read off one 2-d FFT.
 
+assemble cross-checks every block by both routes unless asked for the
+definitional route alone.
+
 Entries in the orthonormal bases {z^{-m}/sqrt(pi m)}, {z^n/sqrt(pi n)}
 are G_nm = sqrt(n/m) b_nm; operator norms are singular values of the
 stacked orthonormal matrix.
@@ -41,21 +45,13 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import pseries
-from .coeffs import CoeffSeq
+from .coeffs import CoeffSeq, sample_to_coeffs
+from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.py
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
 from .faber import faber_series_table
 
 DEFAULT_METHOD_TOL = 1e-6
-DUAL_METHOD_MAX_TRUNC = 24
-
-
-def _fft_samples(trunc):
-    need = 4 * trunc + 9
-    n = 1024
-    while n < need:
-        n *= 2
-    return n
 
 
 def faber_pullback_block(config, j, i, trunc, n_samples=None):
@@ -63,19 +59,17 @@ def faber_pullback_block(config, j, i, trunc, n_samples=None):
 
     Returns (b, defect) where b[n-1, m-1] is the z^n coefficient of
     Gr_{ji}(z^{-m}) and defect is the max deviation of the recovered
-    negative frequencies from delta_{ij} z^{-m}.
+    negative frequencies from delta_{ij} z^{-m}.  The extractor sizes the
+    sample count itself; n_samples is accepted and ignored.
     """
     spec_i = config.maps[i]
-    n = n_samples or _fft_samples(trunc)
-    table = faber_series_table(spec_i, trunc)
-    zeta = evaluate_map(config.maps[j], np.exp(2j * np.pi * np.arange(n) / n))
-    u = 1.0 / (zeta - spec_i.center)
-    powers = u[:, None] ** np.arange(1, trunc + 1)[None, :]
-    vals = powers @ table[:trunc, :trunc]  # vals[t, m-1] = Phi^i_m(f_j(w_t))
-    spec = np.fft.fft(vals, axis=0) / n
-    ns = np.arange(1, trunc + 1)
-    pos = spec[ns, :]
-    neg = spec[n - ns, :]
+    table = faber_series_table(spec_i, trunc)[:trunc, :trunc]
+
+    def samples(w):  # samples[t, m-1] = Phi^i_m(f_j(w_t))
+        u = 1.0 / (evaluate_map(config.maps[j], w) - spec_i.center)
+        return (u[:, None] ** np.arange(1, trunc + 1)[None, :]) @ table
+
+    neg, pos = sample_to_coeffs(samples, trunc)
     expect = np.eye(trunc, dtype=complex) if i == j else np.zeros((trunc, trunc))
     defect = float(np.max(np.abs(neg - expect)))
     return pos, defect
@@ -158,18 +152,17 @@ class GrunskyMatrix:
         return np.sqrt(n_idx[None, :] / n_idx[:, None]) * self.blocks[j][i]
 
 
-def assemble(config, trunc, policy="auto", method_tol=DEFAULT_METHOD_TOL):
+def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
     """Build all blocks, cross-checking methods per the policy.
 
-    policy "definitional" runs only the sampling route; "dual" always
-    cross-checks every block against the kernel series; "auto" runs dual
-    checks up to truncation 24 and the sampling route alone beyond that.
-    A cross-method gap above method_tol, or an identity-recovery defect
-    above it, raises MethodDisagreement.
+    policy "dual" cross-checks every block against the kernel series;
+    "definitional" runs only the sampling route.  A cross-method gap above
+    method_tol, or an identity-recovery defect above it, raises
+    MethodDisagreement.
     """
-    if policy not in ("auto", "dual", "definitional"):
+    if policy not in ("dual", "definitional"):
         raise ValueError("unknown method policy: %r" % (policy,))
-    dual = policy == "dual" or (policy == "auto" and trunc <= DUAL_METHOD_MAX_TRUNC)
+    dual = policy == "dual"
     n = config.n
     blocks = [[None] * n for _ in range(n)]
     tags = [[None] * n for _ in range(n)]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faberkit import (
     CoeffSeq,
@@ -20,6 +21,7 @@ from faberkit import (
     dirichlet_norm_minus,
     dirichlet_norm_sigma,
     dirichlet_norm_sigma_area,
+    evaluate_map,
     faber_coefficients,
     faber_partial_sum_error,
     graph_check,
@@ -98,6 +100,42 @@ def test_pullback_boundary_closed_forms(config_a):
     np.testing.assert_allclose(far.neg, 0, atol=1e-13)
     np.testing.assert_allclose(far.pos, [-1 / 16, 1 / 64, -1 / 256, 1 / 1024],
                                atol=1e-13)
+
+
+unit = st.floats(0.0, 1.0)
+angle = st.floats(0.0, 2 * np.pi)
+
+
+@st.composite
+def maps_and_poles(draw):
+    """A map of degree 1-3 and rational h with poles at f(w0), |w0| <= 0.9.
+
+    The higher coefficients keep |f'/a1 - 1| <= 1/2 on |w| <= 1.5, so f is
+    univalent there and |f(w) - f(w0)| >= |a1| |w - w0| / 2.
+    """
+    a1 = draw(st.floats(1.0, 2.0)) * np.exp(1j * draw(angle))
+    degree = draw(st.integers(1, 3))
+    coeffs = [a1] + [draw(unit) * abs(a1) / (2 * k * 1.5 ** (k - 1) * (degree - 1))
+                     * np.exp(1j * draw(angle)) for k in range(2, degree + 1)]
+    spec = ConformalMapSpec(center=0.0, coeffs=tuple(coeffs))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        w0 = 0.9 * draw(unit) * np.exp(1j * draw(angle))
+        pole = complex(evaluate_map(spec, w0))
+        terms.append((pole, draw(st.integers(1, 2)), draw(unit) * np.exp(1j * draw(angle))))
+    return MultiDomainConfig(maps=(spec,)), RationalFn(terms=tuple(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=maps_and_poles(), trunc=st.integers(1, 64))
+def test_pullback_boundary_matches_fixed_fft(case, trunc):
+    config, h = case
+    n = 4096
+    spec = np.fft.fft(h(evaluate_map(config.maps[0], np.exp(2j * np.pi * np.arange(n) / n)))) / n
+    ns = np.arange(1, trunc + 1)
+    seq = pullback_boundary(config, 0, h, trunc)
+    np.testing.assert_allclose(seq.neg, spec[n - ns], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(seq.pos, spec[ns], rtol=0, atol=1e-12)
 
 
 def test_graph_check_member(config_a, config_b):

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import faberkit
@@ -61,6 +62,17 @@ def test_validate_overlap_fails(cfg_file, tmp_path):
     assert "passed = false" in (out / "validation.txt").read_text()
 
 
+def test_validate_overlap_reports_zero_distance(cfg_file, tmp_path):
+    # the nearest samples of these overlapping curves are 0.0009 apart
+    path = cfg_file(OVERLAP)
+    report = validate_config(load_config_file(path))
+    assert report.curve_distances[0, 1] == 0
+    assert report.margin_distances[0, 1] == 0
+    out = tmp_path / "out"
+    main(["validate", "--config", path, "--out", str(out)])
+    assert "\nmin_curve_distance = 0\n" in (out / "validation.txt").read_text()
+
+
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -109,9 +121,10 @@ def test_trunc_out_of_range_is_input_error(cfg_file):
 
 
 def test_unknown_policy_rejected_by_parser(cfg_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["grunsky", "--config", cfg_file(TWO_DISKS), "--policy", "guess"])
-    assert exc.value.code == 2
+    for policy in ("guess", "auto"):
+        with pytest.raises(SystemExit) as exc:
+            main(["grunsky", "--config", cfg_file(TWO_DISKS), "--policy", policy])
+        assert exc.value.code == 2
 
 
 def test_bad_polespec_is_input_error(cfg_file):
@@ -137,6 +150,17 @@ def test_grunsky_outputs(cfg_file, tmp_path, capsys):
     history = (out / "norm_history.csv").read_text().splitlines()
     assert history[0] == "trunc,sigma_max"
     assert len(history) == 4  # header + truncations 2, 4, 8
+
+
+def test_grunsky_checks_every_block_by_default(cfg_file, tmp_path):
+    out = tmp_path / "out"
+    rc = main(["grunsky", "--config", cfg_file(PERTURBED), "--trunc", "32",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out / "grunsky_matrix.txt") as fh:
+        gr = read_matrix(fh)
+    assert np.all(np.isfinite(gr.agreement))
+    assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series"}
 
 
 def test_grunsky_deterministic(cfg_file, tmp_path):

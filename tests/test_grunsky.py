@@ -96,6 +96,15 @@ def test_kernel_series_alias_warning():
         diagonal_block_series(ConformalMapSpec(center=0.0, coeffs=(1.0, 0.5)), 16)
 
 
+def test_pullback_block_alias_warning():
+    # the same map at T=32: the identity defect (6.4e-7) still passes the
+    # 1e-6 gate, but rounding in Phi_m o f fills the fold band to 5.5e-7 of
+    # the peak
+    cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=0.0, coeffs=(1.0, 0.5))])
+    with pytest.warns(AliasWarning):
+        faber_pullback_block(cfg, 0, 0, 32)
+
+
 CLOSE_MAPS = {
     # disks 0.3 apart: the cross kernel's coefficients fall off like 1/1.3^n
     "disks-1.15": ((-1.15, (1.0,)), (1.15, (1.0,))),
@@ -129,6 +138,19 @@ def test_assemble_dual_at_trunc_64(request, name):
     cfg = request.getfixturevalue(name)
     gr = assemble(cfg, 64, policy="dual")
     assert np.max(gr.agreement) <= 1e-12
+
+
+@pytest.mark.parametrize("trunc", [32, 64])
+def test_default_assemble_checks_every_block(config_b, trunc):
+    # the default policy cross-checks at every truncation, not only up to 24
+    gr = assemble(config_b, trunc)
+    assert np.all(np.isfinite(gr.agreement))
+    assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series"}
+
+
+def test_assemble_rejects_unknown_policy(config_a):
+    with pytest.raises(ValueError):
+        assemble(config_a, 8, policy="auto")
 
 
 def test_assemble_rejects_impossible_tolerance(config_b):
