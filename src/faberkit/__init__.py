@@ -73,12 +73,6 @@ from .analysis import (
     pullback_boundary,
     region_of_point,
 )
-from .quadrature import (
-    Contour,
-    area_quadrature_disk,
-    cauchy_eval,
-    contour_integral,
-    contour_integral_refined,
-)
+from .quadrature import Contour, cauchy_eval
 
 __version__ = "0.1.0"

@@ -59,11 +59,23 @@ def boundary_grid(config):
 
 
 def region_of_point(config, q):
-    """Index of the region containing q, or None."""
+    """Index of the region containing q, or None; a list of those for a 1-d array q.
+
+    Each boundary is sampled once and tested in one winding pass against
+    the points not yet placed that lie no farther from its center than its
+    farthest sample; the sampled curve winds around no other point.  A
+    point inside several regions gets the first.
+    """
+    qs = np.atleast_1d(np.asarray(q, dtype=complex))
+    found = np.full(qs.size, -1)
     for i, spec in enumerate(config.maps):
-        if winding_number(curve_samples(spec, 1.0, 1024), q) == 1:
-            return i
-    return None
+        curve = curve_samples(spec, 1.0, 1024)
+        reach = np.max(np.abs(curve - spec.center))
+        near = np.flatnonzero((found < 0) & (np.abs(qs - spec.center) <= reach))
+        if near.size:
+            found[near[winding_number(curve, qs[near]) == 1]] = i
+    regions = [None if i < 0 else int(i) for i in found]
+    return regions[0] if np.ndim(q) == 0 else regions
 
 
 @dataclass
@@ -82,8 +94,8 @@ def decompose(config, h, probes=None):
     is a numerical tautology kept as a tripwire.
     """
     buckets = [[] for _ in range(config.n)]
-    for pole, order, coeff in h.terms:
-        idx = region_of_point(config, pole)
+    regions = region_of_point(config, [pole for pole, _, _ in h.terms])
+    for (pole, order, coeff), idx in zip(h.terms, regions):
         if idx is None:
             raise PoleOutsideRegions("pole %s lies in no interior region" % pole)
         buckets[idx].append((pole, order, coeff))

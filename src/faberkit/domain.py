@@ -240,13 +240,19 @@ def _pairwise_min_distance(pa, pb):
 
 
 def winding_number(points, z0):
-    """Winding of the sampled closed curve around z0."""
-    rel = points - z0
+    """Winding of the sampled closed curve around z0.
+
+    An int for scalar z0; for an array z0 an int array of its shape, one
+    winding number per point, from one pass over the curve.
+    """
+    rel = np.subtract.outer(points, z0)
     # z0 exactly on a sample would divide by zero; nudge such entries
     rel = np.where(np.abs(rel) < 1e-300, 1e-300, rel)
-    ratios = np.roll(rel, -1) / rel
-    total = np.sum(np.angle(ratios)) / (2.0 * np.pi)
-    return int(np.rint(total))
+    ratios = np.roll(rel, -1, axis=0) / rel
+    total = np.sum(np.angle(ratios), axis=0) / (2.0 * np.pi)
+    if np.ndim(total) == 0:
+        return int(np.rint(total))
+    return np.rint(total).astype(int)
 
 
 def validate_config(config):

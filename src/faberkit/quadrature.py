@@ -1,19 +1,21 @@
-"""Contour and area quadrature.
+"""Cauchy quadrature on images of circles.
 
-Contours are either explicit circles or images f({|w| = s}) of circles
-under a polynomial map, sampled uniformly in the parameter angle; the
-trapezoid rule on such samples is spectrally accurate for integrands
-analytic near the curve.  The Cauchy evaluator uses the sign convention
+Contours are images f({|w| = s}) of circles under a polynomial map,
+sampled uniformly in the parameter angle; the trapezoid rule on such
+samples is spectrally accurate for integrands analytic near the curve.
+The Cauchy evaluator uses the sign convention
 
     cauchy_eval(C, h, z) = -(1/2 pi i) * integral over C of h(zeta)/(zeta - z) dzeta,
 
-which reproduces h(z) for z outside a counterclockwise contour when h is
-analytic outside and vanishes at infinity.
+which reproduces h(z) for z outside the counterclockwise contour when h
+is analytic outside and vanishes at infinity.  It builds the matrix of
+reciprocals 1/(z - zeta) once per block of points: its largest modulus
+exceeds 1/d_min exactly when some point lies within d_min of a sample,
+and one matrix-vector product with the weights h(zeta) dzeta gives the sums.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.special import roots_legendre
 
 from .domain import evaluate_map, map_derivative
 from .errors import TooCloseToContour
@@ -29,112 +31,71 @@ def _check_nq(n):
 
 @dataclass(frozen=True)
 class Contour:
-    """Closed curve with uniform parameter samples.
+    """The curve f({|w| = radius}) with n_samples uniform parameter samples,
+    counterclockwise in the parameter."""
 
-    Either `map_spec` is set and the curve is f({|w| = radius}), or it is
-    None and the curve is the circle |z - center| = radius.  orientation
-    +1 means counterclockwise in the parameter.
-    """
-
+    map_spec: object
     radius: float
-    center: complex = 0j
-    map_spec: object = None
-    orientation: int = 1
     n_samples: int = DEFAULT_NQ
 
     def __post_init__(self):
         _check_nq(self.n_samples)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if self.orientation not in (-1, 1):
-            raise ValueError("orientation must be +1 or -1")
-
-    @classmethod
-    def circle(cls, center, radius, orientation=1, n_samples=DEFAULT_NQ):
-        return cls(radius=radius, center=complex(center), map_spec=None,
-                   orientation=orientation, n_samples=n_samples)
 
     @classmethod
     def image(cls, map_spec, radius, n_samples=DEFAULT_NQ):
-        return cls(radius=radius, center=map_spec.center, map_spec=map_spec,
-                   n_samples=n_samples)
+        return cls(map_spec=map_spec, radius=radius, n_samples=n_samples)
 
-    def parameter_points(self, n=None):
-        n = n or self.n_samples
-        theta = 2.0 * np.pi * np.arange(n) / n
+    def parameter_points(self):
+        theta = 2.0 * np.pi * np.arange(self.n_samples) / self.n_samples
         return self.radius * np.exp(1j * theta)
 
-    def points(self, n=None):
-        w = self.parameter_points(n)
-        if self.map_spec is None:
-            return self.center + w
-        return evaluate_map(self.map_spec, w)
+    def points(self):
+        return evaluate_map(self.map_spec, self.parameter_points())
 
-    def dpoints(self, n=None):
+    def dpoints(self):
         """d zeta / d theta along the counterclockwise parameterization."""
-        w = self.parameter_points(n)
-        if self.map_spec is None:
-            return 1j * w
+        w = self.parameter_points()
         return map_derivative(self.map_spec, w) * 1j * w
-
-
-def contour_integral(fn, contour, n=None):
-    """Trapezoid integral of fn over the contour, oriented."""
-    n = n or contour.n_samples
-    vals = fn(contour.points(n))
-    dz = contour.dpoints(n)
-    return complex(contour.orientation * (2.0 * np.pi / n) * np.sum(vals * dz))
-
-
-def contour_integral_refined(fn, contour):
-    """Integral plus a doubling-based error estimate."""
-    coarse = contour_integral(fn, contour)
-    fine = contour_integral(fn, contour, n=2 * contour.n_samples)
-    return fine, abs(fine - coarse)
 
 
 def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     """-(1/2 pi i) * integral of h(zeta)/(zeta - z) dzeta at points z.
 
-    h_samples are values of h at contour.points().  Raises
-    TooCloseToContour when any z is within d_min of a sample point.
+    h_samples are values of h at contour.points().  For each block of
+    points the matrix inv[k, j] = 1/(z_j - zeta_k) is formed in place.  A
+    point within d_min of a sample makes max |inv| > 1/d_min (a point on
+    a sample makes its entry NaN, which fails the test as well) and
+    raises TooCloseToContour, naming the point and its distance.
+    Otherwise the trapezoid sum is the product of the weights
+    h(zeta) dzeta with inv.  NaN points give NaN.
     """
     h_samples = np.asarray(h_samples, dtype=complex)
     zeta = contour.points()
     if h_samples.shape != zeta.shape:
         raise ValueError("h_samples must match the contour sampling")
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    dz = contour.dpoints()
-    out = np.empty_like(z_arr)
+    out = np.full_like(z_arr, np.nan)
+    # NaN points stay NaN and leave the matrix, so a NaN in it is a sample hit
+    live = np.flatnonzero(~np.isnan(z_arr))
     block = 4096
-    weights = h_samples * dz
-    for start in range(0, z_arr.size, block):
-        zb = z_arr[start : start + block]
-        diff = zeta[:, None] - zb[None, :]
-        dist = np.min(np.abs(diff), axis=0)
-        if np.any(dist < d_min):
+    weights = h_samples * contour.dpoints()
+    for start in range(0, live.size, block):
+        idx = live[start : start + block]
+        zb = z_arr[idx]
+        inv = zb[None, :] - zeta[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.reciprocal(inv, out=inv)
+        modulus = np.abs(inv)
+        if not np.max(modulus) <= 1.0 / d_min:
+            k, j = divmod(int(np.argmax(modulus)), zb.size)
             raise TooCloseToContour(
-                "evaluation point within %.3g of the contour" % d_min
+                "evaluation point %s is %.3g from the contour, below d_min %.3g"
+                % (complex(zb[j]), abs(zb[j] - zeta[k]), d_min)
             )
-        out[start : start + block] = np.sum(weights[:, None] / diff, axis=0)
-    out *= -contour.orientation / (1j * zeta.size)
+        out[idx] = weights @ inv
+    out /= 1j * zeta.size
     if np.ndim(z) == 0:
         return complex(out[0])
     return out
-
-
-def area_quadrature_disk(fn, n_r=64, n_theta=256):
-    """Integral of fn over the unit disk against Lebesgue area measure.
-
-    Gauss-Legendre in radius crossed with the trapezoid rule in angle;
-    spectrally accurate for integrands of the form analytic * conj(analytic).
-    """
-    x, w = roots_legendre(n_r)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * w
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    pts = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    ang = np.sum(vals, axis=1) * (2.0 * np.pi / n_theta)
-    return complex(np.sum(wr * r * ang))
-

@@ -17,6 +17,7 @@ from faberkit import (
     apply_grunsky,
     assemble,
     boundary_grid,
+    curve_samples,
     decompose,
     dirichlet_norm_minus,
     dirichlet_norm_sigma,
@@ -30,6 +31,7 @@ from faberkit import (
     projection_component,
     pullback_boundary,
     region_of_point,
+    winding_number,
 )
 
 
@@ -55,6 +57,8 @@ def test_region_of_point(config_a):
     assert region_of_point(config_a, -2.1) == 0
     assert region_of_point(config_a, 2.3) == 1
     assert region_of_point(config_a, 0.0) is None
+    assert region_of_point(config_a, [-2.1, 2.3, 0.0, -2.1]) == [0, 1, None, 0]
+    assert region_of_point(config_a, []) == []
 
 
 def test_decompose_groups_poles(config_a):
@@ -68,6 +72,37 @@ def test_decompose_groups_poles(config_a):
 def test_decompose_rejects_stray_pole(config_a):
     with pytest.raises(PoleOutsideRegions):
         decompose(config_a, RationalFn.single(10.0, 1, 1.0))
+
+
+def test_decompose_groups_several_poles_per_region(config_c):
+    parts = [((-4.1, 2, 0.5), (-4.0 + 0.2j, 1, 1j)),
+             ((3.9, 3, -1.0), (4.2, 1, 1.0)),
+             ((0.3 + 4j, 1, 2.0),)]
+    h = RationalFn(terms=sum(parts, ()))
+    res = decompose(config_c, h)
+    assert res.components == [RationalFn(terms=p) for p in parts]
+    stray = RationalFn(terms=h.terms + ((0.0, 1, 1.0),))
+    with pytest.raises(PoleOutsideRegions, match=r"pole 0j lies in no interior region"):
+        decompose(config_c, stray)
+
+
+def test_region_of_point_takes_first_of_overlapping_regions():
+    # two overlapping disks (not an admissible config): both contain 0.5
+    config = MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=(1.0,)),
+                                     ConformalMapSpec(center=1.0, coeffs=(1.0,))))
+    assert region_of_point(config, 0.5) == 0
+    assert region_of_point(config, [1.5, 0.5, -0.5]) == [1, 0, 0]
+
+
+def test_region_of_point_matches_winding_on_every_curve(config_b):
+    # reference: one scalar winding test per curve and point, first hit wins
+    x, y = np.meshgrid(np.linspace(-3.5, 3.5, 41), np.linspace(-1.5, 1.5, 17))
+    q = (x + 1j * y).ravel()
+    curves = [curve_samples(spec, 1.0, 1024) for spec in config_b.maps]
+    expect = [next((i for i, c in enumerate(curves) if winding_number(c, p) == 1), None)
+              for p in q]
+    assert {0, 1, None} <= set(expect)
+    assert region_of_point(config_b, q) == expect
 
 
 def test_projection_matches_component(config_a):

@@ -81,6 +81,10 @@ def test_winding_number_inside_outside():
     curve = curve_samples(spec, 1.0, 512)
     assert winding_number(curve, -2.0) == 1
     assert winding_number(curve, 5.0) == 0
+    # one pass for many points, a point on a sample among them
+    z = np.array([-2.0, 5.0, curve[7], -2.3 + 0.2j])
+    np.testing.assert_array_equal(winding_number(curve, z),
+                                  [winding_number(curve, q) for q in z])
 
 
 def test_validate_config_passes_disjoint_disks(config_a):
