@@ -6,11 +6,8 @@ from .coeffs import (
     CoeffSeq,
     dirichlet_norm_minus,
     dirichlet_norm_plus,
-    eval_series,
-    h_half_norm,
     project_minus,
     project_plus,
-    reflect,
     sample_to_coeffs,
 )
 from .domain import (
@@ -38,15 +35,14 @@ from .faber import (
     RationalFn,
     apply_big_faber,
     apply_faber,
-    faber_oracle,
     faber_polynomial,
     faber_series_table,
+    faber_values,
 )
 from .grunsky import (
     GrunskyMatrix,
     apply_grunsky,
     assemble,
-    block_column_norms,
     diagonal_block_series,
     faber_pullback_block,
     norm_history,
@@ -63,7 +59,6 @@ from .analysis import (
     boundary_grid,
     decompose,
     dirichlet_norm_sigma,
-    dirichlet_norm_sigma_area,
     faber_coefficients,
     faber_partial_sum_error,
     graph_check,

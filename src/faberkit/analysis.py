@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .coeffs import CoeffSeq, project_minus, project_plus, sample_to_coeffs
 from .domain import curve_samples, evaluate_map, map_derivative, winding_number
 from .errors import PoleOutsideRegions
-from .faber import RationalFn, faber_series_table
+from .faber import RationalFn, faber_values
 from .grunsky import apply_grunsky, assemble
 from .quadrature import Contour, cauchy_eval
 
@@ -232,11 +232,7 @@ def faber_partial_sum_error(config, h, m_max):
     target = h(grid)
     contrib = np.zeros((m_max, grid.size), dtype=complex)
     for k, spec in enumerate(config.maps):
-        table = faber_series_table(spec, m_max)
-        u = 1.0 / (grid - spec.center)
-        powers = u[:, None] ** np.arange(1, m_max + 1)[None, :]
-        phis = powers @ table[:m_max, :m_max]  # phis[t, m-1]
-        contrib += (phis * coeffs[k][None, :]).T
+        contrib += (faber_values(spec, 1.0 / (grid - spec.center), m_max) * coeffs[k]).T
     partial = np.cumsum(contrib, axis=0)
     errors = np.max(np.abs(partial - target[None, :]), axis=1)
     scale = max(float(np.max(np.abs(target))), 1e-30)
@@ -276,112 +272,3 @@ def dirichlet_norm_sigma(config, h, n_samples=2048):
         total += (2 * np.pi / n_samples) * np.sum(np.conj(h(zeta)) * hp(zeta) * dz)
     value = -total / 2j
     return float(value.real)
-
-
-def _laurent_at_infinity(h, n_terms):
-    """Coefficients A[mu-1] of h(z) = sum_mu A_mu z^-mu valid for large |z|."""
-    out = np.zeros(n_terms, dtype=complex)
-    for pole, order, coeff in h.terms:
-        for mu in range(order, n_terms + 1):
-            out[mu - 1] += coeff * math.comb(mu - 1, order - 1) * pole ** (mu - order)
-    return out
-
-
-def _inside_region(spec, z):
-    """Boolean mask: which z lie in f({|w| <= 1}).
-
-    Exact for degrees one and two; Newton otherwise (adequate away from
-    critical values, which validated maps keep outside the closed disk).
-    """
-    z = np.asarray(z, dtype=complex)
-    if spec.degree == 1:
-        return np.abs(z - spec.center) <= np.abs(spec.coeffs[0])
-    if spec.degree == 2:
-        a1, a2 = spec.coeffs
-        disc = np.sqrt(a1 * a1 + 4.0 * a2 * (z - spec.center))
-        w1 = (-a1 + disc) / (2.0 * a2)
-        w2 = (-a1 - disc) / (2.0 * a2)
-        return np.minimum(np.abs(w1), np.abs(w2)) <= 1.0
-    w = (z - spec.center) / spec.coeffs[0]
-    for _ in range(50):
-        dw = map_derivative(spec, w)
-        dw = np.where(np.abs(dw) < 1e-14, 1e-14, dw)
-        w = w - (evaluate_map(spec, w) - z) / dw
-    ok = np.abs(evaluate_map(spec, w) - z) <= 1e-9 * (1.0 + np.abs(z))
-    return ok & (np.abs(w) <= 1.0)
-
-
-def dirichlet_norm_sigma_area(config, h, n_cells=2048):
-    """Masked 2-d quadrature oracle for the exterior Dirichlet seminorm.
-
-    Integrates |h'|^2 over a large disk minus the interior regions on a
-    cartesian grid (per-cell Gauss inside, 32 x 32 subcell coverage counts
-    on boundary-straddling cells) and adds the exact series tail, to 80
-    terms, beyond the disk.  Slower and cruder than the boundary
-    reduction, but it never touches a contour identity, which is the point.
-    """
-    hp = h.derivative()
-
-    def g(z):
-        return np.abs(hp(z)) ** 2
-
-    extent = 0.0
-    for spec in config.maps:
-        extent = max(extent, float(np.max(np.abs(curve_samples(spec, 1.0, 256)))))
-    pole_r = max((abs(p) for p, _, _ in h.terms), default=0.0)
-    r_out = max(6.0, 2.0 * max(extent, pole_r))
-
-    tail_coeff = _laurent_at_infinity(h, 80)
-    mus = np.arange(1, 81, dtype=float)
-    tail = float(np.pi * np.sum(mus * np.abs(tail_coeff) ** 2 * r_out ** (-2 * mus)))
-
-    def inside_domain(z):
-        mask = np.abs(z) <= r_out
-        for spec in config.maps:
-            mask &= ~_inside_region(spec, z)
-        return mask
-
-    edges = np.linspace(-r_out, r_out, n_cells + 1)
-    step = edges[1] - edges[0]
-    zc = edges[None, :] * 1j + edges[:, None]  # corner grid, [x, y] -> x + i y
-    corner_in = inside_domain(zc.ravel()).reshape(zc.shape)
-    cin = (corner_in[:-1, :-1] & corner_in[1:, :-1]
-           & corner_in[:-1, 1:] & corner_in[1:, 1:])
-    cany = (corner_in[:-1, :-1] | corner_in[1:, :-1]
-            | corner_in[:-1, 1:] | corner_in[1:, 1:])
-    mixed = cany & ~cin
-
-    total = tail
-    # interior cells: tensor Gauss, vectorized over cells in row blocks
-    gx, gw = np.polynomial.legendre.leggauss(3)
-    offs = 0.5 * step * gx
-    wts2 = np.outer(gw, gw) * (step * step / 4.0)
-    xi, yi = np.nonzero(cin)
-    centers = (edges[xi] + 0.5 * step) + 1j * (edges[yi] + 0.5 * step)
-    block = 1 << 18
-    for start in range(0, centers.size, block):
-        c = centers[start : start + block]
-        acc = np.zeros(c.size)
-        for ax in range(3):
-            for ay in range(3):
-                acc += wts2[ax, ay] * g(c + offs[ax] + 1j * offs[ay])
-        total += float(np.sum(acc))
-
-    # boundary cells: midpoint at subcell resolution with coverage masking
-    xm, ym = np.nonzero(mixed)
-    if xm.size:
-        sub = 32
-        so = (np.arange(sub) + 0.5) * (step / sub)
-        sgrid = so[:, None] + 1j * so[None, :]
-        cell_area = (step / sub) ** 2
-        for start in range(0, xm.size, 512):
-            xs = edges[xm[start : start + 512]]
-            ys = edges[ym[start : start + 512]]
-            base = xs[:, None] + 1j * ys[:, None]
-            pts = base + sgrid.ravel()[None, :]
-            flat = pts.ravel()
-            m = inside_domain(flat)
-            vals = np.zeros(flat.size)
-            vals[m] = g(flat[m])
-            total += float(np.sum(vals)) * cell_area
-    return total

@@ -8,7 +8,6 @@ seminorms use the convention ||z^{-m}||^2 = pi*m and ||z^n||^2 = pi*n, and
 the boundary trace norm squared is pi * sum |n| |a_n|^2.
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -68,11 +67,6 @@ def dirichlet_norm_plus(s):
     return float(np.sqrt(np.pi * np.sum(n * np.abs(s.pos) ** 2)))
 
 
-def h_half_norm(s):
-    """Boundary trace norm sqrt(pi * sum over both halves of |n| |a_n|^2)."""
-    return math.hypot(dirichlet_norm_minus(s), dirichlet_norm_plus(s))
-
-
 def project_minus(s):
     """Keep the strictly negative frequencies."""
     return CoeffSeq(neg=s.neg.copy(), pos=np.zeros(0), const=0j)
@@ -81,45 +75,6 @@ def project_minus(s):
 def project_plus(s):
     """Keep the strictly positive frequencies."""
     return CoeffSeq(neg=np.zeros(0), pos=s.pos.copy(), const=0j)
-
-
-def reflect(s):
-    """Reflection of the negative half in the unit circle.
-
-    Returns the evaluator zeta -> sum_m a_{-m} conj(zeta)^m, an
-    anti-analytic function on the closed unit disk; on |zeta| = r it
-    coincides with sum_m a_{-m} (r^2/zeta)^m.
-    """
-    coef = s.neg.copy()
-
-    def evaluator(zeta):
-        zc = np.conj(np.asarray(zeta, dtype=complex))
-        acc = np.zeros_like(zc)
-        for a in coef[::-1]:
-            acc = (acc + a) * zc
-        if np.ndim(zeta) == 0:
-            return complex(acc)
-        return acc
-
-    return evaluator
-
-
-def eval_series(s, z):
-    """Evaluate the stored band at z (vectorized)."""
-    z_arr = np.asarray(z, dtype=complex)
-    acc = np.zeros_like(z_arr)
-    for a in s.pos[::-1]:
-        acc = (acc + a) * z_arr
-    acc = acc + s.const
-    if s.neg.size:
-        inv = 1.0 / z_arr
-        neg_acc = np.zeros_like(z_arr)
-        for a in s.neg[::-1]:
-            neg_acc = (neg_acc + a) * inv
-        acc = acc + neg_acc
-    if np.ndim(z) == 0:
-        return complex(acc)
-    return acc
 
 
 def _start_points(trunc):

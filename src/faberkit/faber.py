@@ -1,28 +1,35 @@
 """Faber polynomials of the inverse map and rational-function plumbing.
 
-For a polynomial map f(w) = p + sum a_k w^k injective near the closed unit
-disk, the degree-m Faber function of the exterior inverse is the principal
-part at p of f^{-1}(zeta)^{-m}:
+For a polynomial map f(w) = p + P(w), P(w) = sum_{k=1..d} a_k w^k,
+injective near the closed unit disk, the degree-m Faber function of the
+exterior inverse is the principal part at p of f^{-1}(zeta)^{-m}:
 
     Phi_m(z) = sum_{k=1..m} c_k / (z - p)^k,
     c_k = [w^{m-1}] (f(w) - p)^{k-1} f'(w),
 
-a rational function vanishing at infinity with c_m = a_1^m exactly.  The
-extraction formula is the residue of w^{-m} d/dw log-free form of the
-generating identity; it is what the contour definition
+a rational function vanishing at infinity with c_m = a_1^m exactly.
+faber_series_table returns these exact coefficients; faber_polynomial and
+apply_faber build rational functions from them.
 
-    Phi_m(z) = -(1/2 pi i) * integral over f({|w|=r}) of f^{-1}(zeta)^{-m}/(zeta - z) dzeta
+Values at points are not summed from the coefficients: the c_k grow
+geometrically with m while Phi_m stays O(1) outside the curve, so the sum
+cancels.  faber_values evaluates Phi_m from the Faber generating function
+instead, in the variable u = 1/(z - p):
 
-evaluates to for z outside the curve, and faber_oracle computes that
-integral directly as an independent cross-check.
+    sum_{m>=0} F_m(u) w^m = w P'(w) / (P(w) (1 - u P(w))),
+    Phi_m(z) = F_m(u) - F_m(0)
+
+(Curtiss, Amer. Math. Monthly 78, 1971; Pommerenke, Univalent Functions,
+1975).  Its denominator has degree 2d in w, so the coefficients obey a
+recurrence of 2d terms.  The denominator's roots are the nonzero roots of
+f(w) = p and the roots of f(w) = z, which lie on or outside |w| = 1 for z
+on or outside the curve, so rounding errors do not grow along the
+recurrence.  The contour-integral oracle that cross-checks both lives
+with the tests.
 """
-
-import functools
 
 import numpy as np
 from dataclasses import dataclass
-
-from .quadrature import Contour, cauchy_eval
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,6 @@ class RationalFn:
         return RationalFn(terms=tuple(t for t in self.terms if t[0] in keep))
 
 
-@functools.lru_cache(maxsize=64)
 def faber_series_table(spec, order):
     """Triangular array T with T[k-1, m-1] = c_k of the degree-m Faber function.
 
@@ -157,17 +163,29 @@ def faber_polynomial(spec, m):
     return FaberPoly(center=spec.center, coeffs=tuple(table[:m, m - 1]))
 
 
-def faber_oracle(spec, m, z):
-    """Contour-quadrature value of the degree-m Faber function at z.
+def faber_values(spec, u, trunc):
+    """F[t, m-1] = Phi_m(z_t) for m = 1..trunc at the points with 1/(z_t - p) = u[t].
 
-    Integrates f^{-1}(zeta)^{-m}/(zeta - z) over f({|w|=0.9}) with 2048
-    samples; valid for z in the unbounded component of the curve
-    complement, which is where the principal-part formula is being checked.
+    Equating coefficients of w^n in the generating identity, with
+    q_k(u) = a_k - u [w^k] P^2 (a_k = 0 for k > d) and q_1 = a_1:
+
+        F_0 = 1,
+        F_{n-1} = (n a_n - sum_{k=2..min(2d, n)} q_k F_{n-k}) / a_1.
+
+    One more point, u = 0, gives the constants F_m(0).
     """
-    contour = Contour.image(spec, 0.9, n_samples=2048)
-    w = contour.parameter_points()
-    h_samples = w ** (-float(m))
-    return cauchy_eval(contour, h_samples, z)
+    d = spec.degree
+    a = np.zeros(2 * d + trunc + 2, dtype=complex)
+    a[1 : d + 1] = spec.coeffs
+    u = np.append(np.asarray(u, dtype=complex).ravel(), 0)
+    q = a[: 2 * d + 1, None] - np.convolve(a[: d + 1], a[: d + 1])[:, None] * u
+    F = np.empty((trunc + 1, u.size), dtype=complex)
+    F[0] = 1
+    for n in range(2, trunc + 2):
+        k = min(2 * d, n)
+        tail = np.einsum("kt,kt->t", q[2 : k + 1], F[n - k : n - 1][::-1])
+        F[n - 1] = (n * a[n] - tail) / a[1]
+    return (F[1:, :-1] - F[1:, -1:]).T
 
 
 def apply_faber(config, k, H):

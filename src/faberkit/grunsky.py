@@ -10,8 +10,12 @@ Two independent routes compute the same blocks:
 
 * definitional: sample Phi^i_m o f_j on the unit circle |w| = 1 and read
   the coefficients off an FFT (coeffs.sample_to_coeffs, which sizes it
-  from its alias floor).  Validated maps are univalent on
-  |w| <= 1 + ext_margin, so the samples are analytic across the circle.
+  from its alias floor).  The samples come from faber.faber_values, the
+  generating-function recurrence in u = 1/(f_j(w) - p_i); it stays at
+  rounding level where summing the principal parts would cancel (for
+  w + 0.1 w^2 their coefficients reach 5e8 by m = 256).  Validated maps
+  are univalent on |w| <= 1 + ext_margin, so the samples are analytic
+  across the circle.
   The negative frequencies must come back as exactly delta_{ij} z^{-m};
   the residual of that identity is recorded on every call and is the
   cheapest global health check of the pipeline.
@@ -49,7 +53,7 @@ from .coeffs import CoeffSeq, sample_to_coeffs
 from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.py
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
-from .faber import faber_series_table
+from .faber import faber_values
 
 DEFAULT_METHOD_TOL = 1e-6
 
@@ -62,12 +66,10 @@ def faber_pullback_block(config, j, i, trunc, n_samples=None):
     negative frequencies from delta_{ij} z^{-m}.  The extractor sizes the
     sample count itself; n_samples is accepted and ignored.
     """
-    spec_i = config.maps[i]
-    table = faber_series_table(spec_i, trunc)[:trunc, :trunc]
+    spec_i, spec_j = config.maps[i], config.maps[j]
 
     def samples(w):  # samples[t, m-1] = Phi^i_m(f_j(w_t))
-        u = 1.0 / (evaluate_map(config.maps[j], w) - spec_i.center)
-        return (u[:, None] ** np.arange(1, trunc + 1)[None, :]) @ table
+        return faber_values(spec_i, 1.0 / (evaluate_map(spec_j, w) - spec_i.center), trunc)
 
     neg, pos = sample_to_coeffs(samples, trunc)
     expect = np.eye(trunc, dtype=complex) if i == j else np.zeros((trunc, trunc))
@@ -203,11 +205,6 @@ def norm_history(gr, truncs=None):
     if truncs is None:
         truncs = sorted({max(1, gr.trunc // 4), max(1, gr.trunc // 2), gr.trunc})
     return {t: operator_norm(gr, t) for t in truncs}
-
-
-def block_column_norms(gr, j, i):
-    """Orthonormal column norms of one block: sqrt(sum_n (n/m) |b_nm|^2)."""
-    return np.linalg.norm(gr.blocks[j][i], axis=0)
 
 
 def apply_grunsky(gr, H_list):

@@ -21,18 +21,21 @@ from faberkit import (
     decompose,
     dirichlet_norm_minus,
     dirichlet_norm_sigma,
-    dirichlet_norm_sigma_area,
     evaluate_map,
     faber_coefficients,
     faber_partial_sum_error,
     graph_check,
     inverse_faber,
+    norm_history,
     probe_grid,
     projection_component,
     pullback_boundary,
     region_of_point,
+    validate_config,
     winding_number,
 )
+
+from oracles import dirichlet_norm_sigma_area
 
 
 def nseq(a):
@@ -238,6 +241,19 @@ def test_series_error_decreases(config_b):
     assert table.errors[-1] < table.errors[0]
 
 
+def test_series_stays_at_floor_after_convergence():
+    # w + 0.45 w^2 (critical point at radius 1.11) beside a unit disk: the
+    # partial sums reach the rounding floor by M = 28 and stay there to
+    # M = 128, where summing principal parts gave errors of 3e12
+    cfg = MultiDomainConfig(maps=(ConformalMapSpec(center=-3.0, coeffs=(1.0, 0.45)),
+                                  ConformalMapSpec(center=3.0, coeffs=(1.0,))))
+    h = RationalFn(terms=((-3.2, 1, 1.0), (3.3, 2, 0.5)))
+    table = faber_partial_sum_error(cfg, h, 128)
+    floor = 1e-13 * float(np.max(np.abs(h(boundary_grid(cfg)))))
+    assert 0 < table.terminated_at < 64
+    assert np.all(table.errors[table.terminated_at - 1 :] <= floor)
+
+
 def test_dirichlet_norm_closed_form(single_affine):
     # h = 0.8/(z-2) pulls back to w^{-1}: seminorm^2 is exactly pi
     h = RationalFn.single(2.0, 1, 0.8)
@@ -292,6 +308,53 @@ def test_energy_identity_block(config_b):
         g_sq = sum(float(np.sum(np.pi * np.arange(1, 49) * np.abs(p.pos) ** 2))
                    for p in preds)
         assert abs(lhs - (ext + g_sq)) / lhs < 1e-10
+
+
+@st.composite
+def admissible_pairs(draw):
+    """A map of degree 2-4 at 0 beside a disk, admissible by construction.
+
+    sum_{k>=2} k |a_k| r^(k-1) < |a_1| at r = 1.1 keeps Re f'/a_1 > 0 on
+    |w| < 1.1, so f is univalent there (Noshiro-Warschawski); validation
+    asks for 1.05.  The disk sits at least 0.5 beyond sum_k |a_k| 1.05^k,
+    the reach of f on |w| = 1.05.
+    """
+    a1 = draw(st.floats(0.5, 1.5)) * np.exp(1j * draw(angle))
+    degree = draw(st.integers(2, 4))
+    shares = [draw(st.floats(0.1, 1.0)) for _ in range(2, degree + 1)]
+    budget = draw(st.floats(0.2, 0.95)) * abs(a1) / sum(shares)
+    coeffs = [a1] + [budget * s / (k * 1.1 ** (k - 1)) * np.exp(1j * draw(angle))
+                     for k, s in enumerate(shares, start=2)]
+    reach = sum(abs(a) * 1.05 ** k for k, a in enumerate(coeffs, start=1))
+    radius = draw(st.floats(0.5, 1.0))
+    center = (reach + 1.05 * radius + draw(st.floats(0.5, 2.0))) * np.exp(1j * draw(angle))
+    return MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=tuple(coeffs)),
+                                   ConformalMapSpec(center=center, coeffs=(radius,))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=admissible_pairs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_admissible_maps_meet_acceptance_tolerances(cfg, seed):
+    # identity defect, cross-method gap, sigma_max < 1 and the energy
+    # identity at the tolerances of tests/test_acceptance.py, at T = 64
+    assert validate_config(cfg).passed
+    t = 64
+    gr = assemble(cfg, t, policy="dual")
+    assert gr.identity_defect <= 1e-10
+    assert np.max(gr.agreement) <= 1e-8
+    hist = norm_history(gr)
+    vals = [hist[k] for k in sorted(hist)]
+    assert vals[-1] < 1.0
+    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    rng = np.random.default_rng(seed)
+    a = np.zeros(t, complex)
+    a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    seqs = [nseq(a), nseq(np.zeros(t))]
+    lhs = dirichlet_norm_minus(seqs[0]) ** 2
+    ext = dirichlet_norm_sigma(cfg, apply_big_faber(cfg, seqs), n_samples=4096)
+    g_sq = sum(float(np.sum(np.pi * np.arange(1, t + 1) * np.abs(p.pos) ** 2))
+               for p in apply_grunsky(gr, seqs))
+    assert abs(lhs - (ext + g_sq)) / lhs <= 1e-6
 
 
 def test_faber_image_norm_bounded_below(config_b):

@@ -163,6 +163,21 @@ def test_grunsky_checks_every_block_by_default(cfg_file, tmp_path):
     assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series"}
 
 
+@pytest.mark.parametrize("name", ["perturbed_pair", "three_disks", "two_disks"])
+def test_grunsky_at_max_trunc(name, tmp_path):
+    # the top of the accepted range passes its own checks on every bundled
+    # config; perturbed_pair used to fail with identity defect 3.4e4
+    out = tmp_path / "out"
+    rc = main(["grunsky", "--config", str(CONFIGS / (name + ".json")), "--trunc", "256",
+               "--out", str(out)])
+    assert rc == 0
+    rows = (out / "norm_history.csv").read_text().splitlines()[1:]
+    sigmas = [float(row.split(",")[1]) for row in rows]
+    assert [int(row.split(",")[0]) for row in rows] == [64, 128, 256]
+    assert all(b >= a for a, b in zip(sigmas, sigmas[1:]))
+    assert sigmas[-1] < 1.0
+
+
 def test_grunsky_deterministic(cfg_file, tmp_path):
     cfg = cfg_file(PERTURBED)
     outs = []

@@ -1,6 +1,7 @@
 """Faber functions: closed forms, the integral oracle, and rational algebra."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from faberkit import (
@@ -10,10 +11,12 @@ from faberkit import (
     RationalFn,
     apply_big_faber,
     apply_faber,
-    faber_oracle,
     faber_polynomial,
     faber_series_table,
+    faber_values,
 )
+
+from oracles import faber_oracle
 
 small = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -69,6 +72,24 @@ def test_series_table_triangular():
     table = faber_series_table(spec, 6)
     assert table.shape == (6, 6)
     np.testing.assert_allclose(np.tril(table, -1), 0, atol=0)
+
+
+@pytest.mark.parametrize("coeffs", [(0.8j,), (1.0, 0.1), (1.0, -0.05j, 0.04),
+                                    (0.9 + 0.3j, 0.1, -0.03j, 0.01)],
+                         ids=["d1", "d2", "d3", "d4"])
+def test_faber_values_match_exact_coefficients(coeffs):
+    # the recurrence against the principal parts summed at small T, where
+    # the exact coefficients are still O(1).  Both sides are polynomials in
+    # u, so any points do; u = 0 is z at infinity, where every Phi_m vanishes
+    spec = ConformalMapSpec(center=1.0 - 0.5j, coeffs=coeffs)
+    trunc = 8
+    u = np.concatenate([0.6 * np.exp(2j * np.pi * np.arange(9) / 9), [0.25, -1.1j, 0]])
+    table = faber_series_table(spec, trunc)
+    exact = (u[:, None] ** np.arange(1, trunc + 1)) @ table
+    values = faber_values(spec, u, trunc)
+    assert values.shape == (u.size, trunc)
+    np.testing.assert_allclose(values, exact, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(values[-1], 0)
 
 
 def test_apply_faber_two_modes():
