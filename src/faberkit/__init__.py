@@ -6,8 +6,6 @@ from .coeffs import (
     CoeffSeq,
     dirichlet_norm_minus,
     dirichlet_norm_plus,
-    project_minus,
-    project_plus,
     sample_to_coeffs,
 )
 from .domain import (

@@ -4,18 +4,22 @@ Everything here works on rational functions vanishing at infinity whose
 poles sit strictly inside the interior regions; those are dense enough to
 exercise every identity at desk scale while keeping exact reference values
 available.
-"""
 
-import math
+Both descriptions of the Dirichlet space of the exterior domain read the
+same boundary data, the halves (h o f_k)^- and (h o f_k)^+ on |w| = 1,
+taken once per boundary: the Faber preimage of h is ((h o f_k)^-)_k
+(faber_coefficients, inverse_faber), and graph membership says
+(h o f)^+ = Gr (h o f)^- (graph_check).
+"""
 
 import numpy as np
 from dataclasses import dataclass
 
-from .coeffs import CoeffSeq, project_minus, project_plus, sample_to_coeffs
+from .coeffs import CoeffSeq, sample_to_coeffs
 from .domain import curve_samples, evaluate_map, map_derivative, winding_number
 from .errors import PoleOutsideRegions
 from .faber import RationalFn, faber_values
-from .grunsky import apply_grunsky, assemble
+from .grunsky import assemble
 from .quadrature import Contour, cauchy_eval
 
 PROBE_OFFSET = 0.2
@@ -136,77 +140,66 @@ def pullback_boundary(config, j, h, trunc):
     return CoeffSeq(neg=neg, pos=pos, const=0j)
 
 
+def _boundary_halves(config, h, trunc):
+    """(minus, plus) arrays [k, m-1]: the z^{-m} and z^m coefficients of h o f_k."""
+    seqs = [pullback_boundary(config, k, h, trunc) for k in range(config.n)]
+    return np.array([s.neg for s in seqs]), np.array([s.pos for s in seqs])
+
+
 @dataclass
 class GraphCheckReport:
     """Membership test of h against the graph of the block operator.
 
-    u and v are the negative/positive halves of the boundary pullbacks,
-    predicted the image of u under the supplied matrix, and residual the
-    orthonormal-coordinate ratio ||v - G u|| / max(||u||, eps).
+    u[k, m-1] and v[k, m-1] are the z^{-m} and z^m coefficients of h o f_k,
+    predicted[k, m-1] those of G u, and residual the orthonormal-coordinate
+    ratio ||v - G u|| / max(||u||, eps); the arrays have shape (n, trunc).
     """
 
-    u: list
-    v: list
-    predicted: list
+    u: np.ndarray
+    v: np.ndarray
+    predicted: np.ndarray
     u_norm: float
     residual: float
 
 
 def graph_check(config, h, trunc, gr=None):
-    """Check that the pullback data of h lies on the operator graph."""
+    """Check that the boundary data of h lies on the operator graph, v = Gr u.
+
+    Both halves come from one pullback per boundary; in the orthonormal
+    coordinates sqrt(pi m) a_m the prediction is one matvec with the
+    leading trunc x trunc blocks of gr.
+    """
     if gr is None:
         gr = assemble(config, trunc, policy="definitional")
     if gr.trunc < trunc:
         raise ValueError("matrix truncation is smaller than requested")
-    us = []
-    vs = []
-    for j in range(config.n):
-        seq = pullback_boundary(config, j, h, trunc)
-        us.append(project_minus(seq))
-        vs.append(project_plus(seq))
-    preds = apply_grunsky(gr, us)
-    m_idx = np.arange(1, trunc + 1)
-    u_sq = 0.0
-    gap_sq = 0.0
-    for j in range(config.n):
-        u = np.zeros(trunc, dtype=complex)
-        u[: us[j].neg.size] = us[j].neg[:trunc]
-        v = np.zeros(trunc, dtype=complex)
-        v[: vs[j].pos.size] = vs[j].pos[:trunc]
-        p = np.zeros(trunc, dtype=complex)
-        p[: preds[j].pos.size] = preds[j].pos[:trunc]
-        u_sq += float(np.sum(np.pi * m_idx * np.abs(u) ** 2))
-        gap_sq += float(np.sum(np.pi * m_idx * np.abs(v - p) ** 2))
-    u_norm = math.sqrt(u_sq)
-    residual = math.sqrt(gap_sq) / max(u_norm, 1e-30)
-    return GraphCheckReport(u=us, v=vs, predicted=preds, u_norm=u_norm,
+    u, v = _boundary_halves(config, h, trunc)
+    weight = np.sqrt(np.pi * np.arange(1, trunc + 1))
+    predicted = (gr.full_matrix(trunc) @ (u * weight).ravel()).reshape(u.shape) / weight
+    u_norm = float(np.linalg.norm(u * weight))
+    residual = float(np.linalg.norm((v - predicted) * weight)) / max(u_norm, 1e-30)
+    return GraphCheckReport(u=u, v=v, predicted=predicted, u_norm=u_norm,
                             residual=residual)
 
 
-def inverse_faber(config, h, trunc):
-    """Preimage sequences g_k with big-Faber image h (band-limited).
-
-    Decomposes h by region and reads each g_k off the negative half of the
-    boundary pullback of the k-th component through its own map.
-    """
-    comps = decompose(config, h).components
-    out = []
-    for k in range(config.n):
-        if comps[k].is_zero:
-            out.append(CoeffSeq(neg=np.zeros(trunc), pos=np.zeros(0)))
-            continue
-        seq = pullback_boundary(config, k, comps[k], trunc)
-        out.append(project_minus(seq))
-    return out
-
-
 def faber_coefficients(config, h, trunc):
-    """Array a[k, m-1]: coefficient of the degree-m Faber function of map k."""
-    gs = inverse_faber(config, h, trunc)
-    out = np.zeros((config.n, trunc), dtype=complex)
-    for k, g in enumerate(gs):
-        out[k, : min(trunc, g.neg.size)] = g.neg[:trunc]
-    return out
+    """Array a[k, m-1]: coefficient of the degree-m Faber function of map k.
+
+    Phi^i_m o f_k has minus half delta_{ik} z^{-m}, so the coefficients on
+    boundary k are the minus half of h o f_k.  Raises PoleOutsideRegions
+    when a pole of h lies in no region.
+    """
+    poles = h.poles()
+    for pole, region in zip(poles, region_of_point(config, poles)):
+        if region is None:
+            raise PoleOutsideRegions("pole %s lies in no interior region" % pole)
+    return _boundary_halves(config, h, trunc)[0]
+
+
+def inverse_faber(config, h, trunc):
+    """Preimage sequences g_k with big-Faber image h (band-limited): the
+    minus halves of h o f_k, the rows of faber_coefficients."""
+    return [CoeffSeq(neg=a, pos=np.zeros(0)) for a in faber_coefficients(config, h, trunc)]
 
 
 @dataclass
@@ -217,12 +210,14 @@ class SeriesErrorTable:
     geometric rate regressed from the decaying stretch (None when the
     series terminates before a rate is visible); terminated_at is the
     first M whose error hits the numerical floor, when that happens.
+    coefficients is the faber_coefficients array the sums were built from.
     """
 
     orders: np.ndarray
     errors: np.ndarray
     fitted_ratio: float
     terminated_at: int
+    coefficients: np.ndarray
 
 
 def faber_partial_sum_error(config, h, m_max):
@@ -247,7 +242,8 @@ def faber_partial_sum_error(config, h, m_max):
         slope = np.polyfit(fit_idx + 1.0, logs, 1)[0]
         fitted = float(np.exp(slope))
     return SeriesErrorTable(orders=np.arange(1, m_max + 1), errors=errors,
-                            fitted_ratio=fitted, terminated_at=terminated_at)
+                            fitted_ratio=fitted, terminated_at=terminated_at,
+                            coefficients=coeffs)
 
 
 def dirichlet_norm_sigma(config, h, n_samples=2048):

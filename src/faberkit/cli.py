@@ -148,10 +148,8 @@ def cmd_graph_check(spec):
         writer.writerow(["boundary", "n", "u_re", "u_im", "v_re", "v_im",
                          "pred_re", "pred_im"])
         for j in range(spec.config.n):
-            for n in range(1, spec.trunc + 1):
-                u = report.u[j].coeff(-n)
-                v = report.v[j].coeff(n)
-                p = report.predicted[j].coeff(n)
+            for n, u, v, p in zip(range(1, spec.trunc + 1), report.u[j], report.v[j],
+                                  report.predicted[j]):
                 writer.writerow([j, n, _fmt(u.real), _fmt(u.imag),
                                  _fmt(v.real), _fmt(v.imag),
                                  _fmt(p.real), _fmt(p.imag)])
@@ -160,14 +158,12 @@ def cmd_graph_check(spec):
 
 
 def cmd_faber_series(spec):
-    coeffs = analysis.faber_coefficients(spec.config, spec.function, spec.trunc)
     table = analysis.faber_partial_sum_error(spec.config, spec.function, spec.trunc)
     with _open_out(spec, "faber_coefficients.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["boundary", "m", "re", "im"])
-        for k in range(spec.config.n):
-            for m in range(1, spec.trunc + 1):
-                a = coeffs[k, m - 1]
+        for k, row in enumerate(table.coefficients):
+            for m, a in enumerate(row, start=1):
                 writer.writerow([k, m, _fmt(a.real), _fmt(a.imag)])
     with _open_out(spec, "faber_errors.csv") as fh:
         writer = csv.writer(fh)

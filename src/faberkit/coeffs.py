@@ -39,21 +39,6 @@ class CoeffSeq:
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "const", complex(self.const))
 
-    @classmethod
-    def zero(cls):
-        return cls(neg=np.zeros(0), pos=np.zeros(0), const=0j)
-
-    def coeff(self, n):
-        if n == 0:
-            return self.const
-        if n < 0:
-            return complex(self.neg[-n - 1]) if -n <= self.neg.size else 0j
-        return complex(self.pos[n - 1]) if n <= self.pos.size else 0j
-
-    def frequencies(self):
-        """Sorted nonzero frequencies of the stored band."""
-        return list(range(-self.neg.size, 0)) + list(range(1, self.pos.size + 1))
-
 
 def dirichlet_norm_minus(s):
     """Seminorm of the negative half: sqrt(pi * sum m |a_{-m}|^2)."""
@@ -65,16 +50,6 @@ def dirichlet_norm_plus(s):
     """Seminorm of the positive half: sqrt(pi * sum n |a_n|^2)."""
     n = np.arange(1, s.pos.size + 1)
     return float(np.sqrt(np.pi * np.sum(n * np.abs(s.pos) ** 2)))
-
-
-def project_minus(s):
-    """Keep the strictly negative frequencies."""
-    return CoeffSeq(neg=s.neg.copy(), pos=np.zeros(0), const=0j)
-
-
-def project_plus(s):
-    """Keep the strictly positive frequencies."""
-    return CoeffSeq(neg=np.zeros(0), pos=s.pos.copy(), const=0j)
 
 
 def _start_points(trunc):

@@ -301,10 +301,17 @@ def validate_config(config):
     # around probe points of another even when sampled min distances stay
     # above the floor; overlapping curves are 0 apart.
     probe_idx = np.arange(0, n_samples, max(1, n_samples // 8))
+    centers = [spec.center for spec in config.maps]
+
+    def winding_of(curves):
+        # a sampled curve winds around no point farther from its center
+        # than its farthest sample; such points skip the angle sum
+        reach = [np.max(np.abs(c - p)) for c, p in zip(curves, centers)]
+        return lambda i, z: winding_number(curves[i], z) if abs(z - centers[i]) <= reach[i] else 0
 
     def overlaps(curves):
-        return np.array([[i != j and any(winding_number(curves[i], z) != 0
-                                         for z in curves[j][probe_idx])
+        winding = winding_of(curves)
+        return np.array([[i != j and any(winding(i, z) != 0 for z in curves[j][probe_idx])
                           for j in range(n)] for i in range(n)])
 
     overlap_1 = overlaps(curves_1)
@@ -327,10 +334,9 @@ def validate_config(config):
                     % (i, j, margin_dist[i, j], config.separation)
                 )
 
-    winding = np.zeros((n, n), dtype=int)
+    winding_1 = winding_of(curves_1)
+    winding = np.array([[winding_1(i, p) for p in centers] for i in range(n)])
     for i in range(n):
-        for j in range(n):
-            winding[i, j] = winding_number(curves_1[i], config.maps[j].center)
         if winding[i, i] != 1:
             failures.append("map %d: curve does not wind once around its center" % i)
     for i in range(n):

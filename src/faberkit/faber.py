@@ -34,28 +34,27 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class FaberPoly:
-    """Principal part sum_k coeffs[k-1] / (z - center)^k."""
+    """Faber function of the map `spec`.
 
-    center: complex
+    coeffs is its exact principal part sum_k coeffs[k-1] / (z - center)^k;
+    values come from faber_values, where summing that part would cancel.
+    """
+
+    spec: object
     coeffs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+    @property
+    def center(self):
+        return self.spec.center
 
     @property
     def degree(self):
         return len(self.coeffs)
 
     def __call__(self, z):
-        z_arr = np.asarray(z, dtype=complex)
-        u = 1.0 / (z_arr - self.center)
-        acc = np.zeros_like(u)
-        for c in self.coeffs[::-1]:
-            acc = (acc + c) * u
-        if np.ndim(z) == 0:
-            return complex(acc)
-        return acc
+        u = 1.0 / (np.ravel(z) - self.center)
+        vals = faber_values(self.spec, u, self.degree)[:, -1].reshape(np.shape(z))
+        return complex(vals) if np.ndim(z) == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def faber_polynomial(spec, m):
     if m < 1:
         raise ValueError("m must be >= 1")
     table = faber_series_table(spec, m)
-    return FaberPoly(center=spec.center, coeffs=tuple(table[:m, m - 1]))
+    return FaberPoly(spec=spec, coeffs=tuple(map(complex, table[:m, m - 1])))
 
 
 def faber_values(spec, u, trunc):

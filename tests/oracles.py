@@ -4,6 +4,9 @@ faber_oracle integrates the contour definition of a Faber function;
 dirichlet_norm_sigma_area integrates |h'|^2 over the exterior domain on a
 grid.  Neither shares an identity with the routes faberkit uses, which is
 what makes them references; faberkit itself calls neither.
+faber_coefficients_by_components reads the Faber coefficients of h off
+its region components, one boundary at a time, where faberkit reads them
+off h itself.
 """
 
 import math
@@ -14,8 +17,10 @@ from faberkit import (
     Contour,
     cauchy_eval,
     curve_samples,
+    decompose,
     evaluate_map,
     map_derivative,
+    pullback_boundary,
 )
 
 
@@ -30,6 +35,20 @@ def faber_oracle(spec, m, z):
     w = contour.parameter_points()
     h_samples = w ** (-float(m))
     return cauchy_eval(contour, h_samples, z)
+
+
+def faber_coefficients_by_components(config, h, trunc):
+    """Array a[k, m-1] from the component of h with poles in region k.
+
+    decompose groups the poles by region; boundary k's coefficients are
+    the negative half of that component pulled back through f_k, and a
+    region without poles gets exact zeros.
+    """
+    out = np.zeros((config.n, trunc), dtype=complex)
+    for k, comp in enumerate(decompose(config, h).components):
+        if not comp.is_zero:
+            out[k] = pullback_boundary(config, k, comp, trunc).neg
+    return out
 
 
 def _laurent_at_infinity(h, n_terms):

@@ -1,6 +1,7 @@
 """Decomposition, graph membership, Faber series, and exterior seminorms."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -35,7 +36,11 @@ from faberkit import (
     winding_number,
 )
 
-from oracles import dirichlet_norm_sigma_area
+from faberkit.cli import load_config_file
+from oracles import dirichlet_norm_sigma_area, faber_coefficients_by_components
+
+BUNDLED = [load_config_file(str(p)) for p in
+           sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))]
 
 
 def nseq(a):
@@ -200,6 +205,24 @@ def test_graph_check_with_precomputed_matrix(config_b):
         graph_check(config_b, h, 32, gr=gr)
 
 
+def test_graph_check_prediction_matches_apply_grunsky(config_b):
+    # a matrix assembled beyond the requested truncation: the leading blocks
+    # give what apply_grunsky gives with the whole matrix and zero padding
+    gr = assemble(config_b, 24, policy="definitional")
+    h = RationalFn(terms=((-1.95, 1, 1.0), (2.1, 2, 0.5 - 0.5j)))
+    rep = graph_check(config_b, h, 16, gr=gr)
+    assert rep.u.shape == rep.v.shape == rep.predicted.shape == (2, 16)
+    preds = apply_grunsky(gr, [nseq(u) for u in rep.u])
+    np.testing.assert_allclose(rep.predicted, [p.pos[:16] for p in preds],
+                               rtol=0, atol=1e-15)
+
+
+def test_faber_coefficients_reject_stray_pole(config_a):
+    h = RationalFn(terms=((-2.3, 1, 1.0), (0.0, 1, 1.0)))
+    with pytest.raises(PoleOutsideRegions):
+        faber_coefficients(config_a, h, 8)
+
+
 def test_inverse_faber_exact_geometric(config_a):
     # 1/(z+2.3) = sum over m of (-0.3)^{m-1} / (z+2)^m for the affine left map
     h = RationalFn.single(-2.3, 1, 1.0)
@@ -355,6 +378,33 @@ def test_admissible_maps_meet_acceptance_tolerances(cfg, seed):
     g_sq = sum(float(np.sum(np.pi * np.arange(1, t + 1) * np.abs(p.pos) ** 2))
                for p in apply_grunsky(gr, seqs))
     assert abs(lhs - (ext + g_sq)) / lhs <= 1e-6
+
+
+@st.composite
+def configs_and_functions(draw):
+    """A bundled or admissible random config and h with poles at f_k(w0), |w0| <= 0.9.
+
+    Each pole picks its region, so some regions may get none.
+    """
+    cfg = draw(st.one_of(st.sampled_from(BUNDLED), admissible_pairs()))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        spec = cfg.maps[draw(st.integers(0, cfg.n - 1))]
+        w0 = 0.9 * draw(unit) * np.exp(1j * draw(angle))
+        terms.append((complex(evaluate_map(spec, w0)), draw(st.integers(1, 3)),
+                      draw(st.floats(0.1, 1.0)) * np.exp(1j * draw(angle))))
+    return cfg, RationalFn(terms=tuple(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=configs_and_functions(), trunc=st.integers(1, 64))
+def test_faber_coefficients_match_components(case, trunc):
+    # the minus halves of h o f_k against those of h's region components,
+    # relative to h's largest coefficient (a short band may hold only zeros)
+    cfg, h = case
+    ref = faber_coefficients_by_components(cfg, h, trunc)
+    scale = np.max(np.abs(faber_coefficients_by_components(cfg, h, 64)))
+    assert np.max(np.abs(faber_coefficients(cfg, h, trunc) - ref)) <= 1e-14 * scale
 
 
 def test_faber_image_norm_bounded_below(config_b):

@@ -225,6 +225,13 @@ def test_faber_series_outputs(cfg_file, tmp_path):
     assert len(errors) == 1 + 12
 
 
+def test_faber_series_stray_pole_fails(cfg_file, tmp_path):
+    # a pole between the regions has no Faber expansion: exit 1
+    rc = main(["faber-series", "--config", cfg_file(TWO_DISKS),
+               "--function=0,0,1,1,0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+
+
 def test_decompose_outputs(cfg_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["decompose", "--config", cfg_file(TWO_DISKS),

@@ -10,8 +10,6 @@ from faberkit import (
     CoeffSeq,
     dirichlet_norm_minus,
     dirichlet_norm_plus,
-    project_minus,
-    project_plus,
     sample_to_coeffs,
 )
 
@@ -27,26 +25,6 @@ def test_single_mode_norms():
     np.testing.assert_allclose(dirichlet_norm_minus(a), math.sqrt(3 * math.pi))
     b = cseq([], [0, 1])
     np.testing.assert_allclose(dirichlet_norm_plus(b), math.sqrt(2 * math.pi))
-
-
-def test_projections_idempotent_and_complementary():
-    a = cseq([1, 2j], [3, 0, -1], const=5.0)
-    m, p = project_minus(a), project_plus(a)
-    assert m.pos.size == 0 and m.const == 0
-    assert p.neg.size == 0 and p.const == 0
-    total = set(m.frequencies()) | set(p.frequencies()) | {0}
-    for n in sorted(total):
-        np.testing.assert_allclose(m.coeff(n) + p.coeff(n) + (a.const if n == 0 else 0),
-                                   a.coeff(n))
-
-
-def test_coeff_lookup():
-    a = cseq([1, 2], [3], const=7)
-    assert a.coeff(-2) == 2
-    assert a.coeff(-1) == 1
-    assert a.coeff(0) == 7
-    assert a.coeff(1) == 3
-    assert a.coeff(5) == 0
 
 
 def test_sample_to_coeffs_geometric_series():

@@ -11,6 +11,7 @@ from faberkit import (
     RationalFn,
     apply_big_faber,
     apply_faber,
+    curve_samples,
     faber_polynomial,
     faber_series_table,
     faber_values,
@@ -63,6 +64,16 @@ def test_vanishes_at_infinity():
     spec = ConformalMapSpec(center=2.0, coeffs=(1.0, 0.05, 0.02j))
     phi = faber_polynomial(spec, 4)
     assert abs(phi(1e8)) < 1e-6
+
+
+def test_faber_polynomial_value_at_high_degree():
+    # f = -3 + w + 0.45 w^2 just outside its curve: Phi_64 is O(1) there,
+    # while summing its principal part is off by about 1e4
+    spec = ConformalMapSpec(center=-3.0, coeffs=(1.0, 0.45))
+    z = curve_samples(spec, 1.001, 64)
+    ref = faber_values(spec, 1.0 / (z - spec.center), 64)[:, -1]
+    assert np.max(np.abs(ref)) < 2.0
+    np.testing.assert_allclose(faber_polynomial(spec, 64)(z), ref, rtol=0, atol=1e-12)
 
 
 def test_series_table_triangular():
