@@ -54,8 +54,11 @@ from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.p
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
 from .faber import faber_values
+from .textfmt import format_g17
 
 DEFAULT_METHOD_TOL = 1e-6
+# write_matrix formats this many floats at a time, so its memory stays flat
+_CHUNK_FLOATS = 16384
 
 
 def faber_pullback_block(config, j, i, trunc, n_samples=None):
@@ -160,7 +163,7 @@ def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
     policy "dual" cross-checks every block against the kernel series;
     "definitional" runs only the sampling route.  A cross-method gap above
     method_tol, or an identity-recovery defect above it, raises
-    MethodDisagreement.
+    MethodDisagreement; so does a gap or defect that is not finite.
     """
     if policy not in ("dual", "definitional"):
         raise ValueError("unknown method policy: %r" % (policy,))
@@ -173,7 +176,7 @@ def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
     for j in range(n):
         for i in range(n):
             b, defect = faber_pullback_block(config, j, i, trunc)
-            worst_defect = max(worst_defect, defect)
+            worst_defect = np.maximum(worst_defect, defect)  # keeps a NaN
             tag = "definitional"
             if dual:
                 alt = (diagonal_block_series(config.maps[i], trunc) if i == j
@@ -181,18 +184,18 @@ def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
                 tag = "definitional+kernel-series"
                 gap = float(np.max(np.abs(b - alt)))
                 agreement[j, i] = gap
-                if gap > method_tol:
+                if not gap <= method_tol:
                     raise MethodDisagreement(
                         "block (%d, %d): methods differ by %.3g" % (j, i, gap)
                     )
             blocks[j][i] = orthonormal_from_monomial(b)
             tags[j][i] = tag
-    if worst_defect > method_tol:
+    if not worst_defect <= method_tol:
         raise MethodDisagreement(
             "identity recovery defect %.3g above %.3g" % (worst_defect, method_tol)
         )
     return GrunskyMatrix(n=n, trunc=trunc, blocks=blocks, method_tags=tags,
-                         agreement=agreement, identity_defect=worst_defect)
+                         agreement=agreement, identity_defect=float(worst_defect))
 
 
 def operator_norm(gr, trunc=None):
@@ -239,16 +242,19 @@ def write_matrix(gr, fileobj, sigma_history=None):
     for t in sorted(history):
         fileobj.write("sigma_max[%d] = %.17g\n" % (t, history[t]))
     fileobj.write("identity_defect = %.3g\n" % gr.identity_defect)
-    row_fmt = " ".join(["%.17g,%.17g"] * gr.trunc) + "\n"
+    # each row as interleaved real and imaginary parts: "re,im re,im ... re,im"
+    seps = np.frombuffer(b", " * (gr.trunc - 1) + b",\n", dtype=np.uint8)
+    rows_per_chunk = max(1, _CHUNK_FLOATS // seps.size)
     for j in range(gr.n):
         for i in range(gr.n):
             gap = gr.agreement[j, i]
             gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
             fileobj.write("block %d %d method=%s agreement=%s\n"
                           % (j, i, gr.method_tags[j][i], gap_txt))
-            # each row as interleaved real and imaginary parts
-            for row in np.ascontiguousarray(gr.blocks[j][i], dtype=complex).view(float):
-                fileobj.write(row_fmt % tuple(row))
+            block = np.ascontiguousarray(gr.blocks[j][i], dtype=complex).view(float)
+            for start in range(0, block.shape[0], rows_per_chunk):
+                text = format_g17(block[start:start + rows_per_chunk], seps)
+                fileobj.write(text.decode("ascii"))
 
 
 def read_matrix(fileobj):
@@ -271,20 +277,30 @@ def read_matrix(fileobj):
     blocks = [[None] * n for _ in range(n)]
     tags = [[None] * n for _ in range(n)]
     agreement = np.full((n, n), np.nan)
-    while line is not None:
+    while line is not None:  # line is a block header
         parts = line.split()
-        if parts and parts[0] == "block":
-            j, i = int(parts[1]), int(parts[2])
-            meta = dict(p.split("=", 1) for p in parts[3:])
-            tags[j][i] = meta.get("method", "")
-            if meta.get("agreement", "nan") != "nan":
-                agreement[j, i] = float(meta["agreement"])
-            # one row at a time: the split strings of a whole block would
-            # take several times the memory of the block itself
-            rows = [np.array(ln.replace(",", " ").split(), dtype=float)
-                    for ln in itertools.islice(lines, trunc)]
-            blocks[j][i] = np.array(rows).view(complex)
+        j, i = int(parts[1]), int(parts[2])
+        meta = dict(p.split("=", 1) for p in parts[3:])
+        tags[j][i] = meta.get("method", "")
+        if meta.get("agreement", "nan") != "nan":
+            agreement[j, i] = float(meta["agreement"])
+        # one row at a time: the split strings of a whole block would
+        # take several times the memory of the block itself
+        rows = []
+        for ln in itertools.islice(lines, trunc):
+            if ln.startswith("block "):
+                break
+            rows.append(np.array(ln.replace(",", " ").split(), dtype=float))
+            if rows[-1].size != 2 * trunc:
+                raise ValueError("block %d %d: a row holds %d numbers, not %d"
+                                 % (j, i, rows[-1].size, 2 * trunc))
         line = next(lines, None)
+        if len(rows) != trunc or not (line is None or line.startswith("block ")):
+            raise ValueError("block %d %d: the row count is not %d" % (j, i, trunc))
+        blocks[j][i] = np.array(rows).view(complex)
+    missing = [(j, i) for j in range(n) for i in range(n) if blocks[j][i] is None]
+    if missing:
+        raise ValueError("block %d %d is missing" % missing[0])
     return GrunskyMatrix(n=n, trunc=trunc, blocks=blocks, method_tags=tags,
                          agreement=agreement,
                          identity_defect=float(header.get("identity_defect", "nan")))

@@ -6,7 +6,8 @@ grid.  Neither shares an identity with the routes faberkit uses, which is
 what makes them references; faberkit itself calls neither.
 faber_coefficients_by_components reads the Faber coefficients of h off
 its region components, one boundary at a time, where faberkit reads them
-off h itself.
+off h itself.  write_matrix_by_percent writes the grunsky_matrix export
+with one '%.17g' per entry, where faberkit formats whole arrays at once.
 """
 
 import math
@@ -20,6 +21,8 @@ from faberkit import (
     decompose,
     evaluate_map,
     map_derivative,
+    norm_history,
+    operator_norm,
     pullback_boundary,
 )
 
@@ -158,3 +161,26 @@ def dirichlet_norm_sigma_area(config, h, n_cells=2048):
             vals[m] = g(flat[m])
             total += float(np.sum(vals)) * cell_area
     return total
+
+
+def write_matrix_by_percent(gr, fileobj, sigma_history=None):
+    """The faberkit.v1 grunsky_matrix export, formatted entry by entry."""
+    fileobj.write("faberkit.v1\n")
+    fileobj.write("kind = grunsky_matrix\n")
+    fileobj.write("n = %d\n" % gr.n)
+    fileobj.write("trunc = %d\n" % gr.trunc)
+    history = sigma_history or norm_history(gr)
+    sigma = history[gr.trunc] if gr.trunc in history else operator_norm(gr)
+    fileobj.write("sigma_max = %.17g\n" % sigma)
+    for t in sorted(history):
+        fileobj.write("sigma_max[%d] = %.17g\n" % (t, history[t]))
+    fileobj.write("identity_defect = %.3g\n" % gr.identity_defect)
+    row_fmt = " ".join(["%.17g,%.17g"] * gr.trunc) + "\n"
+    for j in range(gr.n):
+        for i in range(gr.n):
+            gap = gr.agreement[j, i]
+            gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
+            fileobj.write("block %d %d method=%s agreement=%s\n"
+                          % (j, i, gr.method_tags[j][i], gap_txt))
+            for row in np.ascontiguousarray(gr.blocks[j][i], dtype=complex).view(float):
+                fileobj.write(row_fmt % tuple(row))

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ OVERLAP = {
     "maps": [
         {"center": [0.0, 0.0], "coeffs": [[1.0, 0.0]]},
         {"center": [1.0, 0.0], "coeffs": [[1.0, 0.0]]},
+    ]
+}
+
+
+NESTED = {
+    "maps": [
+        {"center": [0.0, 0.0], "coeffs": [[1.0, 0.0]]},
+        {"center": [1.0, 0.0], "coeffs": [[0.5, 0.0]]},
     ]
 }
 
@@ -161,6 +170,18 @@ def test_grunsky_checks_every_block_by_default(cfg_file, tmp_path):
         gr = read_matrix(fh)
     assert np.all(np.isfinite(gr.agreement))
     assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series"}
+
+
+@pytest.mark.parametrize("policy", ["dual", "definitional"])
+def test_grunsky_non_finite_blocks_fail_the_check(cfg_file, tmp_path, capsys, policy):
+    # NaN blocks used to reach the SVD, which died with a LinAlgError
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        rc = main(["grunsky", "--config", cfg_file(NESTED), "--trunc", "8",
+                   "--policy", policy, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "check failed:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["perturbed_pair", "three_disks", "two_disks"])

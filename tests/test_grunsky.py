@@ -1,5 +1,6 @@
 """Block coefficient operator: two construction routes, norms, and export."""
 
+import io
 import warnings
 
 import numpy as np
@@ -160,6 +161,18 @@ def test_assemble_rejects_impossible_tolerance(config_b):
         assemble(config_b, 8, policy="dual", method_tol=1e-20)
 
 
+@pytest.mark.parametrize("policy", ["dual", "definitional"])
+def test_assemble_refuses_non_finite_blocks(policy):
+    # the second disk sits inside the first: its pullbacks are NaN, which
+    # used to pass every "gap > tol" and "defect > tol" test
+    nested = MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=(1.0,)),
+                                     ConformalMapSpec(center=1.0, coeffs=(0.5,))))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        with pytest.raises(MethodDisagreement):
+            assemble(nested, 8, policy=policy)
+
+
 def test_operator_norm_single_mode(config_a):
     gr = assemble(config_a, 1, policy="definitional")
     np.testing.assert_allclose(operator_norm(gr), 1 / 16, atol=1e-12)
@@ -234,6 +247,37 @@ def test_write_read_round_trip(tmp_path, config_b):
                         % (gr.method_tags[0][0], gr.agreement[0, 0])) + 1
     for row, line in zip(gr.blocks[0][0], lines[first:first + gr.trunc]):
         assert line == " ".join("%.17g,%.17g" % (c.real, c.imag) for c in row)
+
+
+def _export_lines(gr):
+    buf = io.StringIO()
+    write_matrix(gr, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("block", ["block 0 0", "block 1 1"])
+def test_read_matrix_refuses_short_block(config_b, block):
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith(block + " "))
+    del lines[start + 3 : start + 5]  # the block's last two rows
+    with pytest.raises(ValueError, match=block):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+def test_read_matrix_refuses_short_row(config_b):
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
+    lines[start + 2] = lines[start + 2].rsplit(" ", 1)[0] + "\n"  # one entry short
+    with pytest.raises(ValueError, match="block 0 1"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+def test_read_matrix_refuses_missing_block(config_b):
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
+    del lines[start : start + 5]  # header and four rows
+    with pytest.raises(ValueError, match="block 1 0"):
+        read_matrix(io.StringIO("".join(lines)))
 
 
 def test_affine_three_region_norm(config_c):
