@@ -2,19 +2,13 @@
 families of analytic Jordan curves given as polynomial images of the
 unit circle."""
 
-from .coeffs import (
-    CoeffSeq,
-    dirichlet_norm_minus,
-    dirichlet_norm_plus,
-    sample_to_coeffs,
-)
+from .coeffs import dirichlet_norm, sample_to_coeffs
 from .domain import (
     ConformalMapSpec,
     MultiDomainConfig,
     ValidationReport,
     curve_samples,
     evaluate_map,
-    invert_map,
     map_derivative,
     validate_config,
     winding_number,
@@ -23,8 +17,6 @@ from .errors import (
     AliasWarning,
     FaberkitError,
     MethodDisagreement,
-    NonConvergence,
-    OutsideRange,
     PoleOutsideRegions,
     TooCloseToContour,
 )
@@ -60,7 +52,6 @@ from .analysis import (
     faber_coefficients,
     faber_partial_sum_error,
     graph_check,
-    inverse_faber,
     probe_grid,
     projection_component,
     pullback_boundary,

@@ -7,19 +7,19 @@ available.
 
 Both descriptions of the Dirichlet space of the exterior domain read the
 same boundary data, the halves (h o f_k)^- and (h o f_k)^+ on |w| = 1,
-taken once per boundary: the Faber preimage of h is ((h o f_k)^-)_k
-(faber_coefficients, inverse_faber), and graph membership says
+taken once per boundary as (n, trunc) arrays: the Faber preimage of h is
+((h o f_k)^-)_k (faber_coefficients), and graph membership says
 (h o f)^+ = Gr (h o f)^- (graph_check).
 """
 
 import numpy as np
 from dataclasses import dataclass
 
-from .coeffs import CoeffSeq, sample_to_coeffs
+from .coeffs import dirichlet_norm, sample_to_coeffs
 from .domain import curve_samples, evaluate_map, map_derivative, winding_number
 from .errors import PoleOutsideRegions
 from .faber import RationalFn, faber_values
-from .grunsky import assemble
+from .grunsky import apply_grunsky, assemble
 from .quadrature import Contour, cauchy_eval
 
 PROBE_OFFSET = 0.2
@@ -130,20 +130,19 @@ def projection_component(config, i, h):
 
 
 def pullback_boundary(config, j, h, trunc):
-    """Fourier coefficients of h o f_j on the unit circle, constant dropped.
+    """Fourier coefficients (neg, pos) of h o f_j on the unit circle.
 
-    Band-limited to `trunc` on both sides.  For rational h with poles
-    strictly inside the regions the samples are analytic across |w| = 1,
-    so they are exact up to aliasing.
+    neg[m-1] and pos[m-1] are the z^{-m} and z^m coefficients, m = 1..trunc;
+    the constant is dropped.  For rational h with poles strictly inside the
+    regions the samples are analytic across |w| = 1, so they are exact up
+    to aliasing.
     """
-    neg, pos = sample_to_coeffs(lambda w: h(evaluate_map(config.maps[j], w)), trunc)
-    return CoeffSeq(neg=neg, pos=pos, const=0j)
+    return sample_to_coeffs(lambda w: h(evaluate_map(config.maps[j], w)), trunc)
 
 
 def _boundary_halves(config, h, trunc):
     """(minus, plus) arrays [k, m-1]: the z^{-m} and z^m coefficients of h o f_k."""
-    seqs = [pullback_boundary(config, k, h, trunc) for k in range(config.n)]
-    return np.array([s.neg for s in seqs]), np.array([s.pos for s in seqs])
+    return np.stack([pullback_boundary(config, k, h, trunc) for k in range(config.n)], axis=1)
 
 
 @dataclass
@@ -165,19 +164,18 @@ class GraphCheckReport:
 def graph_check(config, h, trunc, gr=None):
     """Check that the boundary data of h lies on the operator graph, v = Gr u.
 
-    Both halves come from one pullback per boundary; in the orthonormal
-    coordinates sqrt(pi m) a_m the prediction is one matvec with the
-    leading trunc x trunc blocks of gr.
+    Both halves come from one pullback per boundary; the prediction is
+    apply_grunsky of the minus halves, cut to trunc (gr may be assembled at
+    a larger truncation, and its entries past trunc count as zero).
     """
     if gr is None:
         gr = assemble(config, trunc, policy="definitional")
     if gr.trunc < trunc:
         raise ValueError("matrix truncation is smaller than requested")
     u, v = _boundary_halves(config, h, trunc)
-    weight = np.sqrt(np.pi * np.arange(1, trunc + 1))
-    predicted = (gr.full_matrix(trunc) @ (u * weight).ravel()).reshape(u.shape) / weight
-    u_norm = float(np.linalg.norm(u * weight))
-    residual = float(np.linalg.norm((v - predicted) * weight)) / max(u_norm, 1e-30)
+    predicted = apply_grunsky(gr, u)[:, :trunc]
+    u_norm = dirichlet_norm(u)
+    residual = dirichlet_norm(v - predicted) / max(u_norm, 1e-30)
     return GraphCheckReport(u=u, v=v, predicted=predicted, u_norm=u_norm,
                             residual=residual)
 
@@ -194,12 +192,6 @@ def faber_coefficients(config, h, trunc):
         if region is None:
             raise PoleOutsideRegions("pole %s lies in no interior region" % pole)
     return _boundary_halves(config, h, trunc)[0]
-
-
-def inverse_faber(config, h, trunc):
-    """Preimage sequences g_k with big-Faber image h (band-limited): the
-    minus halves of h o f_k, the rows of faber_coefficients."""
-    return [CoeffSeq(neg=a, pos=np.zeros(0)) for a in faber_coefficients(config, h, trunc)]
 
 
 @dataclass

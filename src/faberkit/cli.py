@@ -33,20 +33,30 @@ SCHEMA = "faberkit.v1"
 MAX_TRUNC = 256
 
 
+# the flags each subcommand reads, besides --config and --out
+FLAGS = {
+    "validate": (),
+    "grunsky": ("trunc", "policy"),
+    "graph-check": ("trunc", "policy", "tol", "function"),
+    "faber-series": ("trunc", "function"),
+    "decompose": ("function",),
+}
+
+
 @dataclass
 class ExperimentSpec:
-    """Validated bundle of one CLI invocation's inputs."""
+    """Validated bundle of one CLI invocation's inputs; None for an unused flag."""
 
     config: MultiDomainConfig
-    trunc: int
     out_dir: str
-    function: RationalFn
-    tol: float
-    policy: str
     seed: int
+    trunc: int = None
+    function: RationalFn = None
+    tol: float = None
+    policy: str = None
 
     def check_ranges(self):
-        if not (1 <= self.trunc <= MAX_TRUNC):
+        if self.trunc is not None and not (1 <= self.trunc <= MAX_TRUNC):
             raise ValueError("--trunc must be in [1, %d]" % MAX_TRUNC)
 
 
@@ -211,18 +221,20 @@ def build_parser():
         description="Faber/Grunsky diagnostics for multi-region circle-domain images",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_fn in [("validate", False), ("grunsky", False),
-                           ("graph-check", True), ("faber-series", True),
-                           ("decompose", True)]:
+    for name, flags in FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--trunc", type=int, default=16)
         p.add_argument("--out", default=".")
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--policy", default="dual", choices=["dual", "definitional"])
-        p.add_argument("--function", required=needs_fn,
-                       help="rational function as 're,im,order,cre,cim;...' "
-                            "(write --function=SPEC when SPEC starts with a dash)")
+        if "trunc" in flags:
+            p.add_argument("--trunc", type=int, default=16)
+        if "tol" in flags:
+            p.add_argument("--tol", type=float, default=1e-7)
+        if "policy" in flags:
+            p.add_argument("--policy", default="dual", choices=["dual", "definitional"])
+        if "function" in flags:
+            p.add_argument("--function", required=True,
+                           help="rational function as 're,im,order,cre,cim;...' "
+                                "(write --function=SPEC when SPEC starts with a dash)")
     return parser
 
 
@@ -236,11 +248,11 @@ def main(argv=None):
         print("FABERKIT_SEED must be an integer", file=sys.stderr)
         return 2
     try:
-        config = load_config_file(args.config)
-        fn = parse_polespec(args.function) if getattr(args, "function", None) else None
-        spec = ExperimentSpec(config=config, trunc=args.trunc, out_dir=args.out,
-                              function=fn, tol=args.tol, policy=args.policy,
-                              seed=seed)
+        opts = vars(args)
+        spec = ExperimentSpec(
+            config=load_config_file(args.config), out_dir=args.out, seed=seed,
+            trunc=opts.get("trunc"), tol=opts.get("tol"), policy=opts.get("policy"),
+            function=parse_polespec(args.function) if "function" in opts else None)
         spec.check_ranges()
     except (OSError, ValueError, KeyError, IndexError, TypeError,
             json.JSONDecodeError) as exc:

@@ -1,55 +1,29 @@
-"""Two-sided coefficient sequences on the unit circle.
+"""Truncated coefficient sequences on the unit circle, held as arrays.
 
-A CoeffSeq stores a band-limited function h = sum_{m>=1} a_{-m} z^{-m}
-+ const + sum_{n>=1} a_n z^n.  The negative half represents an element of
-the homogeneous Dirichlet space of the exterior disk (vanishing at
-infinity), the positive half one of the interior disk (vanishing at 0);
-seminorms use the convention ||z^{-m}||^2 = pi*m and ||z^n||^2 = pi*n, and
-the boundary trace norm squared is pi * sum |n| |a_n|^2.
+The direct sum over the n boundaries of D(disk), truncated at T, is an
+array a[k, m-1] of shape (n, T); one boundary is a 1-d array a[m-1].  The
+negative half of a function on |w| = 1, a[m-1] = a_{-m}, represents an
+element of the homogeneous Dirichlet space of the exterior disk (vanishing
+at infinity), the positive half, a[n-1] = a_n, one of the interior disk
+(vanishing at 0).  Seminorms use ||z^{-m}||^2 = pi*m and ||z^n||^2 = pi*n,
+so the orthonormal coordinates of a are sqrt(pi m) a[..., m-1] and the
+boundary trace norm squared is pi * sum |n| |a_n|^2.
 """
 
 import warnings
 
 import numpy as np
-from dataclasses import dataclass
 
 from .errors import AliasWarning
 
 ALIAS_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffSeq:
-    """neg[m-1] = a_{-m}, pos[n-1] = a_n, plus a constant term."""
-
-    neg: np.ndarray
-    pos: np.ndarray
-    const: complex = 0j
-
-    def __post_init__(self):
-        raw_neg = np.zeros(0) if self.neg is None else self.neg
-        raw_pos = np.zeros(0) if self.pos is None else self.pos
-        neg = np.atleast_1d(np.asarray(raw_neg, dtype=complex)).ravel()
-        pos = np.atleast_1d(np.asarray(raw_pos, dtype=complex)).ravel()
-        if not (np.all(np.isfinite(neg)) and np.all(np.isfinite(pos))):
-            raise ValueError("coefficients must be finite")
-        neg.setflags(write=False)
-        pos.setflags(write=False)
-        object.__setattr__(self, "neg", neg)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "const", complex(self.const))
-
-
-def dirichlet_norm_minus(s):
-    """Seminorm of the negative half: sqrt(pi * sum m |a_{-m}|^2)."""
-    m = np.arange(1, s.neg.size + 1)
-    return float(np.sqrt(np.pi * np.sum(m * np.abs(s.neg) ** 2)))
-
-
-def dirichlet_norm_plus(s):
-    """Seminorm of the positive half: sqrt(pi * sum n |a_n|^2)."""
-    n = np.arange(1, s.pos.size + 1)
-    return float(np.sqrt(np.pi * np.sum(n * np.abs(s.pos) ** 2)))
+def dirichlet_norm(a):
+    """Seminorm sqrt(pi * sum m |a[..., m-1]|^2), weighted by m along the last axis."""
+    a = np.asarray(a)
+    m = np.arange(1, a.shape[-1] + 1)
+    return float(np.sqrt(np.pi * np.sum(m * np.abs(a) ** 2)))
 
 
 def _start_points(trunc):
@@ -65,7 +39,8 @@ def sample_to_coeffs(fn, trunc):
     N starts at _start_points(trunc) and doubles while the fold band around
     the Nyquist bin (N/8 to either side) holds more than ALIAS_TOL of the
     spectral peak; past max(1024, start) an AliasWarning is issued instead
-    (the band is then unreliable).
+    (the band is then unreliable).  Samples that are not all finite stay so
+    at any N: they are warned about at once and not resampled.
     """
     start = _start_points(trunc)
     n = start
@@ -74,8 +49,10 @@ def sample_to_coeffs(fn, trunc):
         spec /= n
         mag = np.abs(spec)
         peak = float(np.max(mag))
+        if not np.isfinite(peak):
+            warnings.warn("samples are not finite at N = %d" % n, AliasWarning)
+            break
         floor = float(np.max(mag[n // 2 - n // 8 : n // 2 + n // 8 + 1]))
-        # written so that non-finite samples fail too
         if floor <= ALIAS_TOL * peak:
             break
         if n >= max(1024, start):

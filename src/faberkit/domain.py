@@ -11,8 +11,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from scipy.spatial import cKDTree
 
-from .errors import NonConvergence, OutsideRange
-
 DEFAULT_EXT_MARGIN = 0.05
 DEFAULT_SEPARATION = 1e-3
 DEFAULT_BOUNDARY_SAMPLES = 4096
@@ -87,46 +85,6 @@ def map_derivative(spec, w):
     if np.isscalar(w) or np.ndim(w) == 0:
         return complex(acc)
     return acc
-
-
-def invert_map(spec, zeta, ext_margin=DEFAULT_EXT_MARGIN):
-    """Solve f(w) = zeta for the preimage in the extended disk.
-
-    Damped Newton iteration seeded with the affine inverse (zeta - p)/a_1,
-    to a residual of 1e-12 relative to max(1, |zeta - p|) within 80 steps.
-    Raises NonConvergence when the residual stalls and OutsideRange when the
-    converged root lies outside |w| <= 1 + ext_margin.
-    """
-    tol = 1e-12
-    zeta = complex(zeta)
-    w = (zeta - spec.center) / spec.coeffs[0]
-    resid = abs(evaluate_map(spec, w) - zeta)
-    scale = max(1.0, abs(zeta - spec.center))
-    for _ in range(80):
-        if resid <= tol * scale:
-            break
-        deriv = map_derivative(spec, w)
-        if deriv == 0:
-            raise NonConvergence("Newton hit a critical point of the map")
-        step = (evaluate_map(spec, w) - zeta) / deriv
-        lam = 1.0
-        while True:
-            trial = w - lam * step
-            trial_resid = abs(evaluate_map(spec, trial) - zeta)
-            if trial_resid < resid:
-                w, resid = trial, trial_resid
-                break
-            lam *= 0.5
-            if lam < 2.0 ** -40:
-                raise NonConvergence("damped Newton stalled")
-    else:
-        if resid > tol * scale:
-            raise NonConvergence("Newton did not reach tolerance")
-    if abs(w) > 1.0 + ext_margin + 1e-12:
-        raise OutsideRange(
-            "preimage |w| = %.6g exceeds 1 + ext_margin = %.6g" % (abs(w), 1 + ext_margin)
-        )
-    return w
 
 
 @dataclass

@@ -5,14 +5,6 @@ class FaberkitError(Exception):
     """Base class for all library errors."""
 
 
-class NonConvergence(FaberkitError):
-    """An iterative solve failed to reach its tolerance within budget."""
-
-
-class OutsideRange(FaberkitError):
-    """A map inverse landed outside the validated disk |w| <= 1 + ext_margin."""
-
-
 class TooCloseToContour(FaberkitError):
     """An evaluation point is within d_min of a quadrature contour."""
 
@@ -26,4 +18,6 @@ class PoleOutsideRegions(FaberkitError):
 
 
 class AliasWarning(UserWarning):
-    """Tail of an FFT coefficient extraction is above the aliasing threshold."""
+    """An FFT coefficient extraction cannot be trusted: the tail of its
+    spectrum is above the aliasing threshold, or its samples are not finite
+    (a pole on the sampling circle or torus)."""

@@ -49,7 +49,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import pseries
-from .coeffs import CoeffSeq, sample_to_coeffs
+from .coeffs import sample_to_coeffs
 from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.py
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
@@ -124,37 +124,50 @@ def orthonormal_from_monomial(b):
     return np.sqrt(n_idx[:, None] / m_idx[None, :]) * b
 
 
+def _method_tag(gap):
+    """The routes behind a block with cross-method gap `gap` (nan: one route)."""
+    return "definitional" if np.isnan(gap) else "definitional+kernel-series"
+
+
 @dataclass
 class GrunskyMatrix:
     """Assembled block operator in orthonormal bases.
 
-    blocks[j][i] is the (j, i) block; method_tags and cross-method
-    agreement gaps (nan when only one route ran) mirror that layout.
-    identity_defect is the worst negative-frequency recovery error seen
-    while building the definitional blocks.
+    blocks[j, i] (also blocks[j][i]) is the (j, i) block, of shape
+    (trunc, trunc); agreement[j, i] is its cross-method gap, nan when only
+    the definitional route ran.  identity_defect is the worst
+    negative-frequency recovery error seen while building the blocks.
     """
 
-    n: int
-    trunc: int
-    blocks: list
-    method_tags: list
+    blocks: np.ndarray  # (n, n, trunc, trunc)
     agreement: np.ndarray
     identity_defect: float
 
+    @property
+    def n(self):
+        return self.blocks.shape[0]
+
+    @property
+    def trunc(self):
+        return self.blocks.shape[2]
+
+    @property
+    def method_tags(self):
+        """method_tags[j][i] names the routes that built block (j, i)."""
+        return [[_method_tag(gap) for gap in row] for row in self.agreement]
+
     def full_matrix(self, trunc=None):
+        """The stacked (n t) x (n t) matrix of the leading t x t blocks, a new array."""
         t = self.trunc if trunc is None else trunc
         if not (1 <= t <= self.trunc):
             raise ValueError("truncation out of range")
-        out = np.zeros((self.n * t, self.n * t), dtype=complex)
-        for j in range(self.n):
-            for i in range(self.n):
-                out[j * t : (j + 1) * t, i * t : (i + 1) * t] = self.blocks[j][i][:t, :t]
-        return out
+        # order="C" copies even where a reshape alone would return a view (n = 1)
+        stacked = np.array(self.blocks[:, :, :t, :t].transpose(0, 2, 1, 3), order="C")
+        return stacked.reshape(self.n * t, self.n * t)
 
     def monomial_block(self, j, i):
-        trunc = self.trunc
-        n_idx = np.arange(1, trunc + 1, dtype=float)
-        return np.sqrt(n_idx[None, :] / n_idx[:, None]) * self.blocks[j][i]
+        n_idx = np.arange(1, self.trunc + 1, dtype=float)
+        return np.sqrt(n_idx[None, :] / n_idx[:, None]) * self.blocks[j, i]
 
 
 def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
@@ -167,35 +180,28 @@ def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
     """
     if policy not in ("dual", "definitional"):
         raise ValueError("unknown method policy: %r" % (policy,))
-    dual = policy == "dual"
     n = config.n
-    blocks = [[None] * n for _ in range(n)]
-    tags = [[None] * n for _ in range(n)]
+    blocks = np.empty((n, n, trunc, trunc), dtype=complex)
     agreement = np.full((n, n), np.nan)
     worst_defect = 0.0
-    for j in range(n):
-        for i in range(n):
-            b, defect = faber_pullback_block(config, j, i, trunc)
-            worst_defect = np.maximum(worst_defect, defect)  # keeps a NaN
-            tag = "definitional"
-            if dual:
-                alt = (diagonal_block_series(config.maps[i], trunc) if i == j
-                       else offdiagonal_block_series(config, j, i, trunc))
-                tag = "definitional+kernel-series"
-                gap = float(np.max(np.abs(b - alt)))
-                agreement[j, i] = gap
-                if not gap <= method_tol:
-                    raise MethodDisagreement(
-                        "block (%d, %d): methods differ by %.3g" % (j, i, gap)
-                    )
-            blocks[j][i] = orthonormal_from_monomial(b)
-            tags[j][i] = tag
+    for j, i in itertools.product(range(n), repeat=2):
+        b, defect = faber_pullback_block(config, j, i, trunc)
+        worst_defect = np.maximum(worst_defect, defect)  # keeps a NaN
+        if policy == "dual":
+            alt = (diagonal_block_series(config.maps[i], trunc) if i == j
+                   else offdiagonal_block_series(config, j, i, trunc))
+            agreement[j, i] = np.max(np.abs(b - alt))
+            if not agreement[j, i] <= method_tol:
+                raise MethodDisagreement(
+                    "block (%d, %d): methods differ by %.3g" % (j, i, agreement[j, i])
+                )
+        blocks[j, i] = orthonormal_from_monomial(b)
     if not worst_defect <= method_tol:
         raise MethodDisagreement(
             "identity recovery defect %.3g above %.3g" % (worst_defect, method_tol)
         )
-    return GrunskyMatrix(n=n, trunc=trunc, blocks=blocks, method_tags=tags,
-                         agreement=agreement, identity_defect=float(worst_defect))
+    return GrunskyMatrix(blocks=blocks, agreement=agreement,
+                         identity_defect=float(worst_defect))
 
 
 def operator_norm(gr, trunc=None):
@@ -210,24 +216,17 @@ def norm_history(gr, truncs=None):
     return {t: operator_norm(gr, t) for t in truncs}
 
 
-def apply_grunsky(gr, H_list):
-    """Apply the block operator to a tuple of negative sequences.
+def apply_grunsky(gr, u):
+    """Image v[j, n-1] of the minus halves u[i, m-1] under the block operator.
 
-    Returns one CoeffSeq (positive half) per boundary; input sequences are
-    truncated or zero-padded to the matrix truncation.
+    u has shape (n, m) with m <= trunc, and its entries past m count as
+    zero; v has shape (n, trunc).  Only the leading m columns of each block
+    are read, in the orthonormal coordinates sqrt(pi m) u[i, m-1].
     """
-    t = gr.trunc
-    u = np.zeros(gr.n * t, dtype=complex)
-    for i, H in enumerate(H_list):
-        m = np.arange(1, min(t, H.neg.size) + 1)
-        u[i * t : i * t + m.size] = H.neg[: m.size] * np.sqrt(np.pi * m)
-    v = gr.full_matrix() @ u
-    out = []
-    ns = np.arange(1, t + 1)
-    for j in range(gr.n):
-        coeffs = v[j * t : (j + 1) * t] / np.sqrt(np.pi * ns)
-        out.append(CoeffSeq(neg=np.zeros(0), pos=coeffs, const=0j))
-    return out
+    u = np.asarray(u)
+    weight = np.sqrt(np.pi * np.arange(1, gr.trunc + 1))
+    x = u * weight[: u.shape[-1]]
+    return sum(gr.blocks[:, i, :, : u.shape[-1]] @ x[i] for i in range(gr.n)) / weight
 
 
 def write_matrix(gr, fileobj, sigma_history=None):
@@ -245,16 +244,15 @@ def write_matrix(gr, fileobj, sigma_history=None):
     # each row as interleaved real and imaginary parts: "re,im re,im ... re,im"
     seps = np.frombuffer(b", " * (gr.trunc - 1) + b",\n", dtype=np.uint8)
     rows_per_chunk = max(1, _CHUNK_FLOATS // seps.size)
-    for j in range(gr.n):
-        for i in range(gr.n):
-            gap = gr.agreement[j, i]
-            gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
-            fileobj.write("block %d %d method=%s agreement=%s\n"
-                          % (j, i, gr.method_tags[j][i], gap_txt))
-            block = np.ascontiguousarray(gr.blocks[j][i], dtype=complex).view(float)
-            for start in range(0, block.shape[0], rows_per_chunk):
-                text = format_g17(block[start:start + rows_per_chunk], seps)
-                fileobj.write(text.decode("ascii"))
+    for j, i in itertools.product(range(gr.n), repeat=2):
+        gap = gr.agreement[j, i]
+        gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
+        fileobj.write("block %d %d method=%s agreement=%s\n"
+                      % (j, i, _method_tag(gap), gap_txt))
+        block = np.ascontiguousarray(gr.blocks[j, i], dtype=complex).view(float)
+        for start in range(0, block.shape[0], rows_per_chunk):
+            text = format_g17(block[start:start + rows_per_chunk], seps)
+            fileobj.write(text.decode("ascii"))
 
 
 def read_matrix(fileobj):
@@ -274,33 +272,35 @@ def read_matrix(fileobj):
         line = next(lines, None)
     n = int(header["n"])
     trunc = int(header["trunc"])
-    blocks = [[None] * n for _ in range(n)]
-    tags = [[None] * n for _ in range(n)]
+    blocks = np.zeros((n, n, trunc, trunc), dtype=complex)
     agreement = np.full((n, n), np.nan)
+    seen = np.zeros((n, n), dtype=bool)
     while line is not None:  # line is a block header
         parts = line.split()
         j, i = int(parts[1]), int(parts[2])
         meta = dict(p.split("=", 1) for p in parts[3:])
-        tags[j][i] = meta.get("method", "")
-        if meta.get("agreement", "nan") != "nan":
-            agreement[j, i] = float(meta["agreement"])
-        # one row at a time: the split strings of a whole block would
-        # take several times the memory of the block itself
-        rows = []
+        agreement[j, i] = float(meta.get("agreement", "nan"))
+        if meta.get("method") != _method_tag(agreement[j, i]):
+            raise ValueError("block %d %d: method=%s does not match agreement=%s"
+                             % (j, i, meta.get("method"), meta.get("agreement")))
+        # one row at a time, into the block's own storage: the split strings
+        # of a whole block would take several times the memory of the block
+        rows = blocks[j, i].view(float)
+        count = 0
         for ln in itertools.islice(lines, trunc):
             if ln.startswith("block "):
                 break
-            rows.append(np.array(ln.replace(",", " ").split(), dtype=float))
-            if rows[-1].size != 2 * trunc:
+            row = np.array(ln.replace(",", " ").split(), dtype=float)
+            if row.size != 2 * trunc:
                 raise ValueError("block %d %d: a row holds %d numbers, not %d"
-                                 % (j, i, rows[-1].size, 2 * trunc))
+                                 % (j, i, row.size, 2 * trunc))
+            rows[count] = row
+            count += 1
         line = next(lines, None)
-        if len(rows) != trunc or not (line is None or line.startswith("block ")):
+        if count != trunc or not (line is None or line.startswith("block ")):
             raise ValueError("block %d %d: the row count is not %d" % (j, i, trunc))
-        blocks[j][i] = np.array(rows).view(complex)
-    missing = [(j, i) for j in range(n) for i in range(n) if blocks[j][i] is None]
-    if missing:
-        raise ValueError("block %d %d is missing" % missing[0])
-    return GrunskyMatrix(n=n, trunc=trunc, blocks=blocks, method_tags=tags,
-                         agreement=agreement,
+        seen[j, i] = True
+    if not seen.all():
+        raise ValueError("block %d %d is missing" % tuple(np.argwhere(~seen)[0]))
+    return GrunskyMatrix(blocks=blocks, agreement=agreement,
                          identity_defect=float(header.get("identity_defect", "nan")))

@@ -25,6 +25,8 @@ def torus_coeffs(kernel, trunc):
     index near N, the size of those that alias into the block: while this
     floor sits above ALIAS_TOL of the peak, N doubles.  Past MAX_TORUS an
     AliasWarning is issued instead (the coefficients are then unreliable).
+    Samples that are not all finite (a pole on the torus) stay so at any N:
+    they are warned about at once and not resampled.
     """
     n = 128
     while n < 2 * trunc:
@@ -33,10 +35,12 @@ def torus_coeffs(kernel, trunc):
         w = np.exp(2j * np.pi * np.arange(n) / n)
         spec = np.fft.fft2(kernel(w)) / (n * n)
         mag = np.abs(spec)
+        peak = float(np.max(mag))
+        if not np.isfinite(peak):
+            warnings.warn("samples are not finite at N = %d" % n, AliasWarning)
+            break
         top = slice(n - n // 8, n)
         floor = max(float(np.max(mag[top, :])), float(np.max(mag[:, top])))
-        peak = float(np.max(mag))
-        # written so that non-finite samples (a pole on the torus) fail too
         if floor <= ALIAS_TOL * peak:
             break
         if n >= MAX_TORUS:

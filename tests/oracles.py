@@ -50,7 +50,7 @@ def faber_coefficients_by_components(config, h, trunc):
     out = np.zeros((config.n, trunc), dtype=complex)
     for k, comp in enumerate(decompose(config, h).components):
         if not comp.is_zero:
-            out[k] = pullback_boundary(config, k, comp, trunc).neg
+            out[k] = pullback_boundary(config, k, comp, trunc)[0]
     return out
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from faberkit import (
-    CoeffSeq,
     ConformalMapSpec,
     Contour,
     MultiDomainConfig,
@@ -23,7 +22,7 @@ from faberkit import (
     cauchy_eval,
     decompose,
     diagonal_block_series,
-    dirichlet_norm_minus,
+    dirichlet_norm,
     dirichlet_norm_sigma,
     faber_partial_sum_error,
     faber_pullback_block,
@@ -113,26 +112,24 @@ def test_criterion_05_energy_identities(config_a, single_poly):
     for _ in range(20):
         a = np.zeros(8, complex)
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        H = CoeffSeq(neg=a, pos=np.zeros(0, complex), const=0j)
-        lhs = dirichlet_norm_minus(H) ** 2
-        ext = dirichlet_norm_sigma(single_poly, apply_faber(single_poly, 0, H),
+        lhs = dirichlet_norm(a) ** 2
+        ext = dirichlet_norm_sigma(single_poly, apply_faber(single_poly, 0, a),
                                    n_samples=4096)
-        gh = apply_grunsky(gr1, [H])
-        g_sq = float(np.sum(np.pi * m_idx * np.abs(gh[0].pos) ** 2))
+        gh = apply_grunsky(gr1, [a])
+        g_sq = float(np.sum(np.pi * m_idx * np.abs(gh[0]) ** 2))
         worst_single = max(worst_single, abs(lhs - (ext + g_sq)) / lhs)
     worst_block = 0.0
     gr2 = assemble(config_a, t, policy="definitional")
     for j in range(2):
-        seqs = [CoeffSeq(neg=np.zeros(t, complex), pos=np.zeros(0, complex),
-                         const=0j) for _ in range(2)]
+        seqs = [np.zeros(t, complex) for _ in range(2)]
         a = np.zeros(t, complex)
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        seqs[j] = CoeffSeq(neg=a, pos=np.zeros(0, complex), const=0j)
-        lhs = dirichlet_norm_minus(seqs[j]) ** 2
+        seqs[j] = a
+        lhs = dirichlet_norm(seqs[j]) ** 2
         ext = dirichlet_norm_sigma(config_a, apply_big_faber(config_a, seqs),
                                    n_samples=4096)
         preds = apply_grunsky(gr2, seqs)
-        g_sq = sum(float(np.sum(np.pi * m_idx * np.abs(p.pos) ** 2))
+        g_sq = sum(float(np.sum(np.pi * m_idx * np.abs(p) ** 2))
                    for p in preds)
         worst_block = max(worst_block, abs(lhs - (ext + g_sq)) / lhs)
     ok = worst_single <= 1e-7 and worst_block <= 1e-6

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faberkit import (
-    CoeffSeq,
     ConformalMapSpec,
     MultiDomainConfig,
     PoleOutsideRegions,
@@ -20,13 +19,12 @@ from faberkit import (
     boundary_grid,
     curve_samples,
     decompose,
-    dirichlet_norm_minus,
+    dirichlet_norm,
     dirichlet_norm_sigma,
     evaluate_map,
     faber_coefficients,
     faber_partial_sum_error,
     graph_check,
-    inverse_faber,
     norm_history,
     probe_grid,
     projection_component,
@@ -41,10 +39,6 @@ from oracles import dirichlet_norm_sigma_area, faber_coefficients_by_components
 
 BUNDLED = [load_config_file(str(p)) for p in
            sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))]
-
-
-def nseq(a):
-    return CoeffSeq(neg=np.asarray(a, complex), pos=np.zeros(0, complex), const=0j)
 
 
 def test_probe_grid_avoids_regions(config_b):
@@ -135,13 +129,13 @@ def test_projections_are_orthogonal(config_a):
 def test_pullback_boundary_closed_forms(config_a):
     h = RationalFn.single(-2.0 - 0.0j, 1, 1.0)
     # through its own map w -> -2 + w the pullback is exactly w^{-1}
-    own = pullback_boundary(config_a, 0, h, 8)
-    np.testing.assert_allclose(own.neg, [1, 0, 0, 0, 0, 0, 0, 0], atol=1e-13)
-    np.testing.assert_allclose(own.pos, 0, atol=1e-13)
+    own_neg, own_pos = pullback_boundary(config_a, 0, h, 8)
+    np.testing.assert_allclose(own_neg, [1, 0, 0, 0, 0, 0, 0, 0], atol=1e-13)
+    np.testing.assert_allclose(own_pos, 0, atol=1e-13)
     # through the far map w -> 2 + w it is 1/(w+4) = 1/4 - w/16 + w^2/64 - ...
-    far = pullback_boundary(config_a, 1, h, 4)
-    np.testing.assert_allclose(far.neg, 0, atol=1e-13)
-    np.testing.assert_allclose(far.pos, [-1 / 16, 1 / 64, -1 / 256, 1 / 1024],
+    far_neg, far_pos = pullback_boundary(config_a, 1, h, 4)
+    np.testing.assert_allclose(far_neg, 0, atol=1e-13)
+    np.testing.assert_allclose(far_pos, [-1 / 16, 1 / 64, -1 / 256, 1 / 1024],
                                atol=1e-13)
 
 
@@ -176,9 +170,9 @@ def test_pullback_boundary_matches_fixed_fft(case, trunc):
     n = 4096
     spec = np.fft.fft(h(evaluate_map(config.maps[0], np.exp(2j * np.pi * np.arange(n) / n)))) / n
     ns = np.arange(1, trunc + 1)
-    seq = pullback_boundary(config, 0, h, trunc)
-    np.testing.assert_allclose(seq.neg, spec[n - ns], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(seq.pos, spec[ns], rtol=0, atol=1e-12)
+    neg, pos = pullback_boundary(config, 0, h, trunc)
+    np.testing.assert_allclose(neg, spec[n - ns], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pos, spec[ns], rtol=0, atol=1e-12)
 
 
 def test_graph_check_member(config_a, config_b):
@@ -212,8 +206,7 @@ def test_graph_check_prediction_matches_apply_grunsky(config_b):
     h = RationalFn(terms=((-1.95, 1, 1.0), (2.1, 2, 0.5 - 0.5j)))
     rep = graph_check(config_b, h, 16, gr=gr)
     assert rep.u.shape == rep.v.shape == rep.predicted.shape == (2, 16)
-    preds = apply_grunsky(gr, [nseq(u) for u in rep.u])
-    np.testing.assert_allclose(rep.predicted, [p.pos[:16] for p in preds],
+    np.testing.assert_allclose(rep.predicted, apply_grunsky(gr, rep.u)[:, :16],
                                rtol=0, atol=1e-15)
 
 
@@ -233,8 +226,7 @@ def test_inverse_faber_exact_geometric(config_a):
 
 def test_inverse_faber_round_trip(config_b):
     h = RationalFn(terms=((-1.95, 1, 1.0), (2.1, 2, 0.5 - 0.5j)))
-    gs = inverse_faber(config_b, h, 40)
-    back = apply_big_faber(config_b, gs)
+    back = apply_big_faber(config_b, faber_coefficients(config_b, h, 40))
     pts = probe_grid(config_b)
     scale = float(np.max(np.abs(h(pts))))
     assert float(np.max(np.abs(back(pts) - h(pts)))) < 1e-8 * max(scale, 1.0)
@@ -306,12 +298,10 @@ def test_energy_identity_single_boundary(single_poly):
     for _ in range(3):
         a = np.zeros(8, complex)
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        H = nseq(a)
-        lhs = dirichlet_norm_minus(H) ** 2
-        img = apply_faber(single_poly, 0, H)
+        lhs = dirichlet_norm(a) ** 2
+        img = apply_faber(single_poly, 0, a)
         ext = dirichlet_norm_sigma(single_poly, img, n_samples=4096)
-        gh = apply_grunsky(gr, [H])
-        g_sq = float(np.sum(np.pi * np.arange(1, 49) * np.abs(gh[0].pos) ** 2))
+        g_sq = dirichlet_norm(apply_grunsky(gr, [a])) ** 2
         assert abs(lhs - (ext + g_sq)) / lhs < 1e-10
 
 
@@ -320,16 +310,12 @@ def test_energy_identity_block(config_b):
     rng = np.random.default_rng(5)
     gr = assemble(config_b, 48, policy="definitional")
     for j in range(2):
-        seqs = [nseq(np.zeros(48)) for _ in range(2)]
-        a = np.zeros(48, complex)
-        a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        seqs[j] = nseq(a)
-        lhs = dirichlet_norm_minus(seqs[j]) ** 2
+        seqs = np.zeros((2, 48), complex)
+        seqs[j, :6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        lhs = dirichlet_norm(seqs[j]) ** 2
         img = apply_big_faber(config_b, seqs)
         ext = dirichlet_norm_sigma(config_b, img, n_samples=4096)
-        preds = apply_grunsky(gr, seqs)
-        g_sq = sum(float(np.sum(np.pi * np.arange(1, 49) * np.abs(p.pos) ** 2))
-                   for p in preds)
+        g_sq = dirichlet_norm(apply_grunsky(gr, seqs)) ** 2
         assert abs(lhs - (ext + g_sq)) / lhs < 1e-10
 
 
@@ -372,11 +358,10 @@ def test_admissible_maps_meet_acceptance_tolerances(cfg, seed):
     rng = np.random.default_rng(seed)
     a = np.zeros(t, complex)
     a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    seqs = [nseq(a), nseq(np.zeros(t))]
-    lhs = dirichlet_norm_minus(seqs[0]) ** 2
+    seqs = np.array([a, np.zeros(t)])
+    lhs = dirichlet_norm(a) ** 2
     ext = dirichlet_norm_sigma(cfg, apply_big_faber(cfg, seqs), n_samples=4096)
-    g_sq = sum(float(np.sum(np.pi * np.arange(1, t + 1) * np.abs(p.pos) ** 2))
-               for p in apply_grunsky(gr, seqs))
+    g_sq = dirichlet_norm(apply_grunsky(gr, seqs)) ** 2
     assert abs(lhs - (ext + g_sq)) / lhs <= 1e-6
 
 
@@ -411,9 +396,9 @@ def test_faber_image_norm_bounded_below(config_b):
     # ||image||^2 = ||H||^2 - ||Gr H||^2 >= (1 - sigma^2) ||H||^2, and sigma
     # is small here, so the map loses almost no energy: an injectivity margin
     rng = np.random.default_rng(11)
-    seqs = [nseq(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-            for _ in range(2)]
-    lhs = sum(dirichlet_norm_minus(s) ** 2 for s in seqs)
+    seqs = np.array([rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                     for _ in range(2)])
+    lhs = dirichlet_norm(seqs) ** 2
     img = apply_big_faber(config_b, seqs)
     ext = dirichlet_norm_sigma(config_b, img, n_samples=4096)
     assert ext / lhs > 0.9

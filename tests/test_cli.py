@@ -293,3 +293,12 @@ def test_module_entry_point(cfg_file, tmp_path):
          "--config", cfg_file(TWO_DISKS), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert rc.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [["validate", "--trunc", "8"],
+                                  ["decompose", "--function=-2.3,0,1,1,0",
+                                   "--policy", "dual"]])
+def test_flag_a_subcommand_does_not_read_is_input_error(cfg_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", cfg_file(TWO_DISKS)] + argv[1:])
+    assert exc.value.code == 2

@@ -7,24 +7,18 @@ import pytest
 
 from faberkit import (
     AliasWarning,
-    CoeffSeq,
-    dirichlet_norm_minus,
-    dirichlet_norm_plus,
+    dirichlet_norm,
     sample_to_coeffs,
 )
 
 
-def cseq(neg, pos, const=0.0):
-    return CoeffSeq(neg=np.asarray(neg, complex), pos=np.asarray(pos, complex),
-                    const=complex(const))
-
-
 def test_single_mode_norms():
-    # |z^{-3}|^2 = 3 pi, |z^2|^2 = 2 pi
-    a = cseq([0, 0, 1], [])
-    np.testing.assert_allclose(dirichlet_norm_minus(a), math.sqrt(3 * math.pi))
-    b = cseq([], [0, 1])
-    np.testing.assert_allclose(dirichlet_norm_plus(b), math.sqrt(2 * math.pi))
+    # |z^{-3}|^2 = 3 pi, |z^2|^2 = 2 pi, and both boundaries of an (n, T) array
+    np.testing.assert_allclose(dirichlet_norm([0, 0, 1]), math.sqrt(3 * math.pi))
+    np.testing.assert_allclose(dirichlet_norm([0, 1]), math.sqrt(2 * math.pi))
+    np.testing.assert_allclose(dirichlet_norm([[0, 0, 1], [0, 1, 0]]),
+                               math.sqrt(5 * math.pi))
+    assert dirichlet_norm(np.zeros((2, 0))) == 0
 
 
 def test_sample_to_coeffs_geometric_series():
@@ -40,3 +34,18 @@ def test_sample_to_coeffs_warns_on_aliasing():
     # fold band holds about 2% of the peak
     with pytest.warns(AliasWarning):
         sample_to_coeffs(lambda w: 1.0 / (w - 1.01), 8)
+
+
+def test_sample_to_coeffs_stops_on_non_finite_samples():
+    # a pole on the circle: doubling N cannot make the samples finite, so
+    # the extractor samples once and names the cause
+    sizes = []
+
+    def samples(w):
+        sizes.append(w.size)
+        return 1.0 / (w - 1.0)
+
+    with pytest.warns(AliasWarning, match="not finite") as record, np.errstate(all="ignore"):
+        sample_to_coeffs(samples, 8)
+    assert sizes == [128]
+    assert not any("floor" in str(w.message) for w in record)

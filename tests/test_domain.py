@@ -1,4 +1,4 @@
-"""Map evaluation, inversion, and configuration validation."""
+"""Map evaluation and configuration validation."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from scipy.spatial import cKDTree
 from faberkit import (
     ConformalMapSpec,
     MultiDomainConfig,
-    OutsideRange,
     curve_samples,
     evaluate_map,
-    invert_map,
     map_derivative,
     validate_config,
     winding_number,
@@ -36,38 +34,6 @@ def test_map_derivative_polynomial():
 def test_zero_leading_coefficient_rejected():
     with pytest.raises(ValueError):
         ConformalMapSpec(center=0.0, coeffs=(0.0, 1.0))
-
-
-def test_invert_map_quadratic_closed_form():
-    # f(w) = -2 + w + 0.1 w^2, f(w) = -2.5: root of 0.1 w^2 + w + 0.5,
-    # w = (-1 + sqrt(0.8)) / 0.2 = -0.5278640450004204 (quadratic formula)
-    spec = ConformalMapSpec(center=-2.0, coeffs=(1.0, 0.1))
-    w = invert_map(spec, -2.5)
-    np.testing.assert_allclose(w, -0.5278640450004204, rtol=1e-12)
-
-
-def test_invert_map_outside_range():
-    spec = ConformalMapSpec(center=2.0, coeffs=(0.8,))
-    # |w| would be 1.5, beyond the 1 + margin cap
-    with pytest.raises(OutsideRange):
-        invert_map(spec, 2.0 + 1.2, ext_margin=0.05)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    re=st.floats(-0.99, 0.99),
-    im=st.floats(-0.99, 0.99),
-    a2re=st.floats(-0.12, 0.12),
-    a2im=st.floats(-0.12, 0.12),
-)
-def test_invert_round_trip(re, im, a2re, a2im):
-    w = complex(re, im)
-    if abs(w) > 1.0:
-        w = w / abs(w) * 0.99
-    spec = ConformalMapSpec(center=1.5j, coeffs=(1.0, complex(a2re, a2im)))
-    z = evaluate_map(spec, w)
-    w_back = invert_map(spec, z, ext_margin=0.1)
-    assert abs(w_back - w) < 1e-9
 
 
 def test_curve_samples_on_circle_image():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faberkit import (
-    CoeffSeq,
     ConformalMapSpec,
     MultiDomainConfig,
     RationalFn,
@@ -107,9 +106,7 @@ def test_apply_faber_two_modes():
     # H = w^{-1} + w^{-2} through f = -2 + w + 0.1 w^2:
     # sum of the first two functions, 1.2/(z+2) + 1/(z+2)^2
     cfg = MultiDomainConfig(maps=(ConformalMapSpec(center=-2.0, coeffs=(1.0, 0.1)),))
-    h = CoeffSeq(neg=np.array([1.0, 1.0], dtype=complex), pos=np.zeros(0, complex),
-                 const=0j)
-    out = apply_faber(cfg, 0, h)
+    out = apply_faber(cfg, 0, np.array([1.0, 1.0], dtype=complex))
     assert out.terms == ((-2.0 + 0j, 1, 1.2 + 0j), (-2.0 + 0j, 2, 1.0 + 0j))
 
 
@@ -123,19 +120,15 @@ def test_apply_faber_linear(h1, h2, c):
     a[:len(h1)] = h1
     b = np.zeros(n, complex)
     b[:len(h2)] = h2
-    za = CoeffSeq(neg=a, pos=np.zeros(0, complex), const=0j)
-    zb = CoeffSeq(neg=b, pos=np.zeros(0, complex), const=0j)
-    zc = CoeffSeq(neg=a + c * b, pos=np.zeros(0, complex), const=0j)
-    lhs = apply_faber(cfg, 0, zc)
-    rhs = apply_faber(cfg, 0, za) + complex(c) * apply_faber(cfg, 0, zb)
+    lhs = apply_faber(cfg, 0, a + c * b)
+    rhs = apply_faber(cfg, 0, a) + complex(c) * apply_faber(cfg, 0, b)
     grid = 2.0 + 3.0 * np.exp(2j * np.pi * np.arange(7) / 7)
     np.testing.assert_allclose(lhs(grid), rhs(grid), rtol=1e-12, atol=1e-12)
 
 
 def test_apply_big_faber_merges_regions(config_a):
-    h1 = CoeffSeq(neg=np.array([1.0 + 0j]), pos=np.zeros(0, complex), const=0j)
-    h2 = CoeffSeq(neg=np.array([0j, 2.0 + 0j]), pos=np.zeros(0, complex), const=0j)
-    out = apply_big_faber(config_a, (h1, h2))
+    # the rows may differ in length
+    out = apply_big_faber(config_a, (np.array([1.0 + 0j]), np.array([0j, 2.0 + 0j])))
     # affine pieces pass through unchanged: 1/(z+2) + 2/(z-2)^2
     assert out.terms == ((-2.0 + 0j, 1, 1.0 + 0j), (2.0 + 0j, 2, 2.0 + 0j))
 
@@ -152,9 +145,3 @@ def test_rationalfn_derivative_and_eval():
     z = np.array([3.0, 1 + 1j])
     np.testing.assert_allclose(d(z), -2.0 / (z - 1.0) ** 2)
 
-
-def test_rationalfn_restrict_to_poles():
-    r = RationalFn(terms=((1.0, 1, 1.0), (2.0, 1, 5.0)))
-    left = r.restrict_to_poles({1.0 + 0j})
-    assert left.terms == ((1.0 + 0j, 1, 1.0 + 0j),)
-    assert r.restrict_to_poles(set()).is_zero

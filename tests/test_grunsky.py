@@ -8,7 +8,6 @@ import pytest
 
 from faberkit import (
     AliasWarning,
-    CoeffSeq,
     ConformalMapSpec,
     GrunskyMatrix,
     MethodDisagreement,
@@ -167,10 +166,14 @@ def test_assemble_refuses_non_finite_blocks(policy):
     # used to pass every "gap > tol" and "defect > tol" test
     nested = MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=(1.0,)),
                                      ConformalMapSpec(center=1.0, coeffs=(0.5,))))
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
         with pytest.raises(MethodDisagreement):
             assemble(nested, 8, policy=policy)
+    # the extractors name the cause rather than report a NaN alias floor
+    messages = [str(w.message) for w in record]
+    assert any("not finite" in msg for msg in messages)
+    assert not any("floor nan" in msg for msg in messages)
 
 
 def test_operator_norm_single_mode(config_a):
@@ -216,16 +219,39 @@ def test_apply_grunsky_matches_matrix(config_b):
     gr = assemble(config_b, 8, policy="definitional")
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-    seqs = [CoeffSeq(neg=c, pos=np.zeros(0, complex), const=0j) for c in coeffs]
-    out = apply_grunsky(gr, seqs)
+    out = apply_grunsky(gr, coeffs)
     # orthonormal coordinates: u_m = a_m sqrt(pi m), v_n = out_n sqrt(pi n)
     m = np.arange(1, 9)
     u = (coeffs * np.sqrt(np.pi * m)).reshape(-1)
     v = gr.full_matrix() @ u
     expect = v.reshape(2, 8) / np.sqrt(np.pi * m)
-    for j in range(2):
-        np.testing.assert_allclose(out[j].pos, expect[j], atol=1e-12)
-        assert out[j].neg.size == 0
+    assert out.shape == (2, 8)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
+    # a shorter sequence acts as if zero-padded to the matrix truncation
+    short = coeffs.copy()
+    short[:, 5:] = 0
+    np.testing.assert_allclose(apply_grunsky(gr, coeffs[:, :5]), apply_grunsky(gr, short),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [3, 8])
+def test_full_matrix_places_blocks(config_c, t):
+    # block (j, i) of the stacked matrix is the leading t x t corner of blocks[j][i]
+    gr = assemble(config_c, 8, policy="definitional")
+    assert gr.blocks.shape == (3, 3, 8, 8)
+    g = gr.full_matrix(t)
+    assert g.shape == (3 * t, 3 * t)
+    for j in range(3):
+        for i in range(3):
+            np.testing.assert_array_equal(g[j * t:(j + 1) * t, i * t:(i + 1) * t],
+                                          gr.blocks[j][i][:t, :t])
+
+
+def test_full_matrix_is_a_new_array(single_poly):
+    # with one boundary a reshape alone would hand out a view of the blocks
+    gr = assemble(single_poly, 8, policy="definitional")
+    for t in (4, 8):
+        assert not np.shares_memory(gr.full_matrix(t), gr.blocks)
 
 
 def test_write_read_round_trip(tmp_path, config_b):
@@ -269,6 +295,20 @@ def test_read_matrix_refuses_short_row(config_b):
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     lines[start + 2] = lines[start + 2].rsplit(" ", 1)[0] + "\n"  # one entry short
     with pytest.raises(ValueError, match="block 0 1"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+@pytest.mark.parametrize("policy, swap", [
+    ("dual", ("method=definitional+kernel-series", "method=definitional")),
+    ("definitional", ("method=definitional", "method=definitional+kernel-series")),
+])
+def test_read_matrix_refuses_method_agreement_mismatch(config_b, policy, swap):
+    # method= is implied by agreement= (nan: one route); a file where they
+    # disagree is refused
+    lines = _export_lines(assemble(config_b, 4, policy=policy))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
+    lines[start] = lines[start].replace(*swap)
+    with pytest.raises(ValueError, match="block 1 0"):
         read_matrix(io.StringIO("".join(lines)))
 
 
