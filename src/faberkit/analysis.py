@@ -66,18 +66,14 @@ def region_of_point(config, q):
     """Index of the region containing q, or None; a list of those for a 1-d array q.
 
     Each boundary is sampled once and tested in one winding pass against
-    the points not yet placed that lie no farther from its center than its
-    farthest sample; the sampled curve winds around no other point.  A
-    point inside several regions gets the first.
+    the points not yet placed.  A point inside several regions gets the
+    first.
     """
     qs = np.atleast_1d(np.asarray(q, dtype=complex))
     found = np.full(qs.size, -1)
     for i, spec in enumerate(config.maps):
-        curve = curve_samples(spec, 1.0, 1024)
-        reach = np.max(np.abs(curve - spec.center))
-        near = np.flatnonzero((found < 0) & (np.abs(qs - spec.center) <= reach))
-        if near.size:
-            found[near[winding_number(curve, qs[near]) == 1]] = i
+        todo = np.flatnonzero(found < 0)
+        found[todo[winding_number(curve_samples(spec, 1.0, 1024), qs[todo]) == 1]] = i
     regions = [None if i < 0 else int(i) for i in found]
     return regions[0] if np.ndim(q) == 0 else regions
 
@@ -90,6 +86,15 @@ class DecompositionResult:
     residual: float
 
 
+def _pole_regions(config, poles):
+    """region_of_point of each pole; PoleOutsideRegions for a pole in no region."""
+    regions = region_of_point(config, poles)
+    for pole, region in zip(poles, regions):
+        if region is None:
+            raise PoleOutsideRegions("pole %s lies in no interior region" % pole)
+    return regions
+
+
 def decompose(config, h, probes=None):
     """Split h into components with poles grouped by containing region.
 
@@ -98,11 +103,9 @@ def decompose(config, h, probes=None):
     is a numerical tautology kept as a tripwire.
     """
     buckets = [[] for _ in range(config.n)]
-    regions = region_of_point(config, [pole for pole, _, _ in h.terms])
-    for (pole, order, coeff), idx in zip(h.terms, regions):
-        if idx is None:
-            raise PoleOutsideRegions("pole %s lies in no interior region" % pole)
-        buckets[idx].append((pole, order, coeff))
+    regions = _pole_regions(config, [pole for pole, _, _ in h.terms])
+    for term, idx in zip(h.terms, regions):
+        buckets[idx].append(term)
     comps = [RationalFn(terms=tuple(b)) for b in buckets]
     if probes is None:
         probes = probe_grid(config)
@@ -187,10 +190,7 @@ def faber_coefficients(config, h, trunc):
     boundary k are the minus half of h o f_k.  Raises PoleOutsideRegions
     when a pole of h lies in no region.
     """
-    poles = h.poles()
-    for pole, region in zip(poles, region_of_point(config, poles)):
-        if region is None:
-            raise PoleOutsideRegions("pole %s lies in no interior region" % pole)
+    _pole_regions(config, h.poles())
     return _boundary_halves(config, h, trunc)[0]
 
 

@@ -8,6 +8,14 @@ at infinity), the positive half, a[n-1] = a_n, one of the interior disk
 (vanishing at 0).  Seminorms use ||z^{-m}||^2 = pi*m and ||z^n||^2 = pi*n,
 so the orthonormal coordinates of a are sqrt(pi m) a[..., m-1] and the
 boundary trace norm squared is pi * sum |n| |a_n|^2.
+
+Every coefficient extraction in the package, on the circle
+(sample_to_coeffs) and on the torus (pseries.torus_coeffs), runs one
+sizing loop, _extract: N starts at the caller's size and doubles while the
+caller's alias band holds more than ALIAS_TOL of the spectral peak, up to
+the cap max(1024, 4 * start), past which an AliasWarning is issued.  The
+circle's band is the fold band around Nyquist, N/2 +- N/8; the torus's
+is the top eighth of each axis.
 """
 
 import warnings
@@ -31,36 +39,49 @@ def _start_points(trunc):
     return 1 << max(7, (4 * trunc + 8).bit_length())
 
 
+def _extract(fn, start, axes, band):
+    """Normalized FFT of fn's samples at the N-th roots of unity, N sized by its alias floor.
+
+    fn(w) returns samples over `axes` leading axes (1: the circle, 2: the
+    torus) at the nodes w_t = exp(2 pi i t / N).  band(n) lists the index
+    expressions of the spectrum that hold the alias floor at N = n.  N starts
+    at `start` and doubles while the floor exceeds ALIAS_TOL of the spectral
+    peak; past max(1024, 4 start) an AliasWarning is issued instead.
+    Samples that are not all finite stay so at any N: they are warned about
+    at once and not resampled.  Returns the spectrum; N is its first extent.
+    """
+    n = start
+    while True:
+        samples = fn(np.exp(2j * np.pi * np.arange(n) / n))
+        spec = np.fft.fft(samples, axis=0) if axes == 1 else np.fft.fft2(samples)
+        spec /= n ** axes
+        mag = np.abs(spec)
+        peak = float(np.max(mag))
+        if not np.isfinite(peak):
+            warnings.warn("samples are not finite at N = %d" % n, AliasWarning)
+            return spec
+        floor = max(float(np.max(mag[idx])) for idx in band(n))
+        if floor <= ALIAS_TOL * peak:
+            return spec
+        if n >= max(1024, 4 * start):
+            warnings.warn(
+                "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak),
+                AliasWarning,
+            )
+            return spec
+        n *= 2
+
+
 def sample_to_coeffs(fn, trunc):
     """Fourier coefficients 1..trunc of both signs from samples on |w| = 1.
 
     fn(w) returns samples along axis 0 at the N nodes w_t = exp(2 pi i t / N).
     Returns (neg, pos) with neg[m-1] = a_{-m}, pos[n-1] = a_n along axis 0.
-    N starts at _start_points(trunc) and doubles while the fold band around
-    the Nyquist bin (N/8 to either side) holds more than ALIAS_TOL of the
-    spectral peak; past max(1024, start) an AliasWarning is issued instead
-    (the band is then unreliable).  Samples that are not all finite stay so
-    at any N: they are warned about at once and not resampled.
+    N starts at _start_points(trunc); the alias floor is the fold band
+    around the Nyquist bin, N/8 to either side (see _extract for the
+    doubling, the cap and the warnings).
     """
-    start = _start_points(trunc)
-    n = start
-    while True:
-        spec = np.fft.fft(fn(np.exp(2j * np.pi * np.arange(n) / n)), axis=0)
-        spec /= n
-        mag = np.abs(spec)
-        peak = float(np.max(mag))
-        if not np.isfinite(peak):
-            warnings.warn("samples are not finite at N = %d" % n, AliasWarning)
-            break
-        floor = float(np.max(mag[n // 2 - n // 8 : n // 2 + n // 8 + 1]))
-        if floor <= ALIAS_TOL * peak:
-            break
-        if n >= max(1024, start):
-            warnings.warn(
-                "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak),
-                AliasWarning,
-            )
-            break
-        n *= 2
+    spec = _extract(fn, _start_points(trunc), 1,
+                    lambda n: [slice(n // 2 - n // 8, n // 2 + n // 8 + 1)])
     ns = np.arange(1, trunc + 1)
-    return spec[n - ns], spec[ns]
+    return spec[spec.shape[0] - ns], spec[ns]

@@ -201,16 +201,21 @@ def winding_number(points, z0):
     """Winding of the sampled closed curve around z0.
 
     An int for scalar z0; for an array z0 an int array of its shape, one
-    winding number per point, from one pass over the curve.
+    winding number per point, from one pass over the curve.  The sampled
+    curve winds around no point outside its bounding box: those get 0
+    without the angle sum.
     """
-    rel = np.subtract.outer(points, z0)
-    # z0 exactly on a sample would divide by zero; nudge such entries
-    rel = np.where(np.abs(rel) < 1e-300, 1e-300, rel)
-    ratios = np.roll(rel, -1, axis=0) / rel
-    total = np.sum(np.angle(ratios), axis=0) / (2.0 * np.pi)
-    if np.ndim(total) == 0:
-        return int(np.rint(total))
-    return np.rint(total).astype(int)
+    z = np.asarray(z0, dtype=complex)
+    box = ((z.real >= points.real.min()) & (z.real <= points.real.max())
+           & (z.imag >= points.imag.min()) & (z.imag <= points.imag.max()))
+    out = np.zeros(z.shape, dtype=int)
+    if np.any(box):
+        rel = np.subtract.outer(points, z[box])
+        # z0 exactly on a sample would divide by zero; nudge such entries
+        rel = np.where(np.abs(rel) < 1e-300, 1e-300, rel)
+        ratios = np.roll(rel, -1, axis=0) / rel
+        out[box] = np.rint(np.sum(np.angle(ratios), axis=0) / (2.0 * np.pi))
+    return int(out) if out.ndim == 0 else out
 
 
 def validate_config(config):
@@ -261,15 +266,8 @@ def validate_config(config):
     probe_idx = np.arange(0, n_samples, max(1, n_samples // 8))
     centers = [spec.center for spec in config.maps]
 
-    def winding_of(curves):
-        # a sampled curve winds around no point farther from its center
-        # than its farthest sample; such points skip the angle sum
-        reach = [np.max(np.abs(c - p)) for c, p in zip(curves, centers)]
-        return lambda i, z: winding_number(curves[i], z) if abs(z - centers[i]) <= reach[i] else 0
-
     def overlaps(curves):
-        winding = winding_of(curves)
-        return np.array([[i != j and any(winding(i, z) != 0 for z in curves[j][probe_idx])
+        return np.array([[i != j and bool(np.any(winding_number(curves[i], curves[j][probe_idx])))
                           for j in range(n)] for i in range(n)])
 
     overlap_1 = overlaps(curves_1)
@@ -292,8 +290,7 @@ def validate_config(config):
                     % (i, j, margin_dist[i, j], config.separation)
                 )
 
-    winding_1 = winding_of(curves_1)
-    winding = np.array([[winding_1(i, p) for p in centers] for i in range(n)])
+    winding = np.array([winding_number(curves_1[i], centers) for i in range(n)])
     for i in range(n):
         if winding[i, i] != 1:
             failures.append("map %d: curve does not wind once around its center" % i)

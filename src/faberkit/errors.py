@@ -18,6 +18,9 @@ class PoleOutsideRegions(FaberkitError):
 
 
 class AliasWarning(UserWarning):
-    """An FFT coefficient extraction cannot be trusted: the tail of its
-    spectrum is above the aliasing threshold, or its samples are not finite
-    (a pole on the sampling circle or torus)."""
+    """An FFT coefficient extraction cannot be trusted: its samples are not
+    finite (a pole on the sampling circle or torus), or its alias band still
+    holds more than ALIAS_TOL of the spectral peak at the cap
+    max(1024, 4 * start).  Circle and torus share that one sizing loop
+    (coeffs._extract); the band is the fold band around Nyquist,
+    N/2 +- N/8, on the circle and the top eighth of each axis on the torus."""

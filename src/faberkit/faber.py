@@ -116,11 +116,6 @@ class RationalFn:
     def __add__(self, other):
         return RationalFn(terms=self.terms + other.terms)
 
-    def __rmul__(self, c):
-        return RationalFn(terms=tuple(
-            (pole, order, c * coeff) for pole, order, coeff in self.terms
-        ))
-
 
 def faber_series_table(spec, order):
     """Triangular array T with T[k-1, m-1] = c_k of the degree-m Faber function.

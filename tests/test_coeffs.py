@@ -1,6 +1,7 @@
 """Two-sided coefficient sequences, seminorms, and circle sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from faberkit import (
     dirichlet_norm,
     sample_to_coeffs,
 )
+from faberkit.pseries import torus_coeffs
 
 
 def test_single_mode_norms():
@@ -29,23 +31,51 @@ def test_sample_to_coeffs_geometric_series():
     np.testing.assert_allclose(neg, 0, atol=1e-14)
 
 
-def test_sample_to_coeffs_warns_on_aliasing():
-    # pole at 1.01 decays like 1.01^{-n}: even at the 1024-sample cap the
-    # fold band holds about 2% of the peak
-    with pytest.warns(AliasWarning):
-        sample_to_coeffs(lambda w: 1.0 / (w - 1.01), 8)
-
-
-def test_sample_to_coeffs_stops_on_non_finite_samples():
-    # a pole on the circle: doubling N cannot make the samples finite, so
-    # the extractor samples once and names the cause
+def test_sample_to_coeffs_doubles_past_1024_at_large_trunc():
+    # at T = 128 the extractor starts at N = 1024; a pole at 1.04 leaves
+    # 2.8e-7 in the fold band there against a peak of 0.96, and about
+    # 1.04^{-768} at N = 2048
     sizes = []
 
     def samples(w):
         sizes.append(w.size)
-        return 1.0 / (w - 1.0)
+        return 1.0 / (w - 1.04)
 
-    with pytest.warns(AliasWarning, match="not finite") as record, np.errstate(all="ignore"):
-        sample_to_coeffs(samples, 8)
-    assert sizes == [128]
-    assert not any("floor" in str(w.message) for w in record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        neg, pos = sample_to_coeffs(samples, 128)
+    assert sizes == [1024, 2048]
+    n = np.arange(1, 129)
+    np.testing.assert_allclose(pos, -(1.04 ** (-n - 1.0)), rtol=1e-12)
+
+
+# a slowly decaying sampler (its alias band never clears) and a sampler
+# with a pole on the nodes, for each extractor
+EXTRACTORS = {
+    "circle": (sample_to_coeffs, lambda w: 1.0 / (w - 1.0001), lambda w: 1.0 / (w - 1.0)),
+    "torus": (torus_coeffs, lambda w: 1.0 / (np.multiply.outer(w, w) - 1.0001),
+              lambda w: 1.0 / (np.multiply.outer(w, w) - 1.0)),
+}
+
+
+@pytest.mark.parametrize("name, trunc, sizes", [
+    ("circle", 8, [128, 256, 512, 1024]),
+    ("circle", 128, [1024, 2048, 4096]),
+    ("torus", 8, [128, 256, 512, 1024]),
+    ("torus", 256, [512, 1024, 2048]),
+], ids=["circle-T8", "circle-T128", "torus-T8", "torus-T256"])
+def test_extractors_share_sizing_policy(name, trunc, sizes):
+    # both double from their start up to the cap max(1024, 4 start), then
+    # warn once; non-finite samples are sampled once and named
+    extract, slow, pole = EXTRACTORS[name]
+    for fn, expect, match in ((slow, sizes, "aliasing floor"), (pole, sizes[:1], "not finite")):
+        seen = []
+
+        def samples(w):
+            seen.append(w.size)
+            return fn(w)
+
+        with pytest.warns(AliasWarning, match=match) as record, np.errstate(all="ignore"):
+            extract(samples, trunc)
+        assert seen == expect
+        assert len(record) == 1

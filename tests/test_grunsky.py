@@ -2,6 +2,7 @@
 
 import io
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ def test_assemble_dual_on_close_configs(name, trunc):
         warnings.simplefilter("error", AliasWarning)
         gr = assemble(cfg, trunc, policy="dual")
     assert np.nanmax(gr.agreement) <= 1e-12
+
+
+def test_rounded_square_assembles_without_alias_warning_at_trunc_128():
+    # f_r(w) = (1/r) int_0^{rw} (1 - t^4)^{-1/2} dt truncated at degree 257,
+    # c_{4j+1} = C(2j, j) 4^{-j} r^{4j} / (4j + 1), r = 0.98: a curve near a
+    # square.  At T = 128 its pullbacks need N = 2048, past the start of 1024
+    a = np.zeros(257)
+    for j in range(65):
+        a[4 * j] = comb(2 * j, j) * 4.0 ** -j * 0.98 ** (4 * j) / (4 * j + 1)
+    cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=tuple(a)) for c in (-1.6, 1.6)],
+                            ext_margin=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        gr = assemble(cfg, 128, policy="definitional")
+    assert gr.identity_defect < 1e-12
 
 
 def test_assemble_dual_agreement(config_b):
