@@ -31,6 +31,28 @@ def test_sample_to_coeffs_geometric_series():
     np.testing.assert_allclose(neg, 0, atol=1e-14)
 
 
+def test_sample_to_coeffs_warns_on_aliasing():
+    # pole at 1.01 decays like 1.01^{-n}: even at the 1024-sample cap the
+    # fold band holds about 2% of the peak
+    with pytest.warns(AliasWarning):
+        sample_to_coeffs(lambda w: 1.0 / (w - 1.01), 8)
+
+
+def test_sample_to_coeffs_stops_on_non_finite_samples():
+    # a pole on the circle: doubling N cannot make the samples finite, so
+    # the extractor samples once and names the cause
+    sizes = []
+
+    def samples(w):
+        sizes.append(w.size)
+        return 1.0 / (w - 1.0)
+
+    with pytest.warns(AliasWarning, match="not finite") as record, np.errstate(all="ignore"):
+        sample_to_coeffs(samples, 8)
+    assert sizes == [128]
+    assert not any("floor" in str(w.message) for w in record)
+
+
 def test_sample_to_coeffs_doubles_past_1024_at_large_trunc():
     # at T = 128 the extractor starts at N = 1024; a pole at 1.04 leaves
     # 2.8e-7 in the fold band there against a peak of 0.96, and about
