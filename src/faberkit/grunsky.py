@@ -54,10 +54,11 @@ from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.p
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
 from .faber import faber_values
-from .textfmt import format_g17
+from .textfmt import format_g17, parse_g17
 
 DEFAULT_METHOD_TOL = 1e-6
-# write_matrix formats this many floats at a time, so its memory stays flat
+# write_matrix and read_matrix handle this many floats at a time, so their
+# memory stays flat
 _CHUNK_FLOATS = 16384
 
 
@@ -255,13 +256,59 @@ def write_matrix(gr, fileobj, sigma_history=None):
             fileobj.write(text.decode("ascii"))
 
 
+def _header_size(header, key):
+    """The positive integer under `key` in an export header."""
+    if key not in header:
+        raise ValueError("the header has no %s" % key)
+    if not header[key].isdecimal() or int(header[key]) < 1:
+        raise ValueError("header %s = %s is not a positive integer" % (key, header[key]))
+    return int(header[key])
+
+
+def _block_header(line, n):
+    """(j, i, agreement) of a "block j i method=... agreement=..." line."""
+    parts = line.split()
+    try:
+        j, i = int(parts[1]), int(parts[2])
+        meta = dict(p.split("=", 1) for p in parts[3:])
+        gap = float(meta.get("agreement", "nan"))
+    except (IndexError, ValueError):
+        raise ValueError("malformed block header: %s" % line.strip()) from None
+    if not (0 <= j < n and 0 <= i < n):
+        raise ValueError("block %d %d is out of range for n = %d" % (j, i, n))
+    if meta.get("method") != _method_tag(gap):
+        raise ValueError("block %d %d: method=%s does not match agreement=%s"
+                         % (j, i, meta.get("method"), meta.get("agreement")))
+    return j, i, gap
+
+
+def _parse_rows(j, i, lines, width):
+    """The rows `lines` of block (j, i) as a (len(lines), width) array."""
+    try:
+        values, seps = parse_g17("".join(lines).encode("ascii"))
+    except ValueError as exc:
+        raise ValueError("block %d %d: %s" % (j, i, exc)) from None
+    row_ends = np.flatnonzero(seps == ord("\n")) + 1
+    if not np.array_equal(row_ends, np.arange(1, len(lines) + 1) * width):
+        counts = [len(ln.replace(",", " ").split()) for ln in lines]
+        bad = next((c for c in counts if c != width), values.size)
+        raise ValueError("block %d %d: a row holds %d numbers, not %d" % (j, i, bad, width))
+    if not np.isfinite(values).all():
+        raise ValueError("block %d %d holds a non-finite entry" % (j, i))
+    return values.reshape(len(lines), width)
+
+
 def read_matrix(fileobj):
     """Parse a write_matrix export back into a GrunskyMatrix.
 
-    The file is read as a stream, one block's rows at a time.
+    The file is read as a stream and its entries a chunk of rows at a time
+    (textfmt.parse_g17: the floats float() gives for each token).  A file of
+    another kind, a header without n or trunc, and a block that is out of
+    range, repeated, missing, short, tagged against its agreement or holds
+    a non-finite entry raise ValueError.
     """
-    lines = (ln.rstrip("\n") for ln in fileobj)
-    if next(lines, None) != "faberkit.v1":
+    lines = iter(fileobj)
+    if next(lines, "").rstrip("\n") != "faberkit.v1":
         raise ValueError("not a faberkit.v1 file")
     header = {}
     line = next(lines, None)
@@ -270,36 +317,30 @@ def read_matrix(fileobj):
             key, val = line.split("=", 1)
             header[key.strip()] = val.strip()
         line = next(lines, None)
-    n = int(header["n"])
-    trunc = int(header["trunc"])
+    if header.get("kind") != "grunsky_matrix":
+        raise ValueError("kind = %s, not grunsky_matrix" % header.get("kind", "(missing)"))
+    n, trunc = _header_size(header, "n"), _header_size(header, "trunc")
     blocks = np.zeros((n, n, trunc, trunc), dtype=complex)
     agreement = np.full((n, n), np.nan)
     seen = np.zeros((n, n), dtype=bool)
+    rows_per_chunk = max(1, _CHUNK_FLOATS // (2 * trunc))
     while line is not None:  # line is a block header
-        parts = line.split()
-        j, i = int(parts[1]), int(parts[2])
-        meta = dict(p.split("=", 1) for p in parts[3:])
-        agreement[j, i] = float(meta.get("agreement", "nan"))
-        if meta.get("method") != _method_tag(agreement[j, i]):
-            raise ValueError("block %d %d: method=%s does not match agreement=%s"
-                             % (j, i, meta.get("method"), meta.get("agreement")))
-        # one row at a time, into the block's own storage: the split strings
-        # of a whole block would take several times the memory of the block
+        j, i, agreement_ji = _block_header(line, n)
+        if seen[j, i]:
+            raise ValueError("block %d %d appears twice" % (j, i))
+        seen[j, i] = True
+        agreement[j, i] = agreement_ji
         rows = blocks[j, i].view(float)
         count = 0
-        for ln in itertools.islice(lines, trunc):
-            if ln.startswith("block "):
-                break
-            row = np.array(ln.replace(",", " ").split(), dtype=float)
-            if row.size != 2 * trunc:
-                raise ValueError("block %d %d: a row holds %d numbers, not %d"
-                                 % (j, i, row.size, 2 * trunc))
-            rows[count] = row
-            count += 1
+        while count < trunc:
+            chunk = list(itertools.islice(lines, min(rows_per_chunk, trunc - count)))
+            if not chunk or any(ln.startswith("block ") for ln in chunk):
+                break  # cut short: refused below
+            rows[count:count + len(chunk)] = _parse_rows(j, i, chunk, 2 * trunc)
+            count += len(chunk)
         line = next(lines, None)
         if count != trunc or not (line is None or line.startswith("block ")):
             raise ValueError("block %d %d: the row count is not %d" % (j, i, trunc))
-        seen[j, i] = True
     if not seen.all():
         raise ValueError("block %d %d is missing" % tuple(np.argwhere(~seen)[0]))
     return GrunskyMatrix(blocks=blocks, agreement=agreement,

@@ -161,6 +161,14 @@ def test_grunsky_outputs(cfg_file, tmp_path, capsys):
     assert len(history) == 4  # header + truncations 2, 4, 8
 
 
+def test_read_matrix_refuses_validation_output(cfg_file, tmp_path):
+    # another faberkit.v1 file is refused by its kind, not with a KeyError
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg_file(TWO_DISKS), "--out", str(out)]) == 0
+    with open(out / "validation.txt") as fh, pytest.raises(ValueError, match="kind"):
+        read_matrix(fh)
+
+
 def test_grunsky_checks_every_block_by_default(cfg_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["grunsky", "--config", cfg_file(PERTURBED), "--trunc", "32",

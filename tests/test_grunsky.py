@@ -336,6 +336,63 @@ def test_read_matrix_refuses_missing_block(config_b):
         read_matrix(io.StringIO("".join(lines)))
 
 
+@pytest.mark.parametrize("key", ["n", "trunc"])
+def test_read_matrix_refuses_a_header_without_a_size(config_b, key):
+    lines = [ln for ln in _export_lines(assemble(config_b, 4, policy="definitional"))
+             if not ln.startswith(key + " = ")]
+    with pytest.raises(ValueError, match="no %s" % key):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+def test_read_matrix_refuses_another_kind():
+    with pytest.raises(ValueError, match="kind = validation_report"):
+        read_matrix(io.StringIO("faberkit.v1\nkind = validation_report\npassed = 1\n"))
+
+
+@pytest.mark.parametrize("header", ["block 2 0", "block 0 -1"])
+def test_read_matrix_refuses_a_block_out_of_range(config_b, header):
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
+    lines[start] = lines[start].replace("block 1 0", header)
+    with pytest.raises(ValueError, match=header + " is out of range"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+def test_read_matrix_refuses_a_repeated_block(config_b):
+    # block 1 0 relabelled as 0 1: the repeat is named, not the block it hides
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
+    lines[start] = lines[start].replace("block 1 0", "block 0 1")
+    with pytest.raises(ValueError, match="block 0 1 appears twice"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+@pytest.mark.parametrize("entry", ["nan", "-inf", "1e999"])
+def test_read_matrix_refuses_non_finite_entries(config_b, entry):
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
+    lines[start + 3] = entry + lines[start + 3][lines[start + 3].index(","):]
+    with pytest.raises(ValueError, match="block 0 1"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+def test_read_matrix_accepts_extra_whitespace(config_b):
+    # rows are split at commas and whitespace, as before the vectorized reader
+    gr = assemble(config_b, 4, policy="definitional")
+    lines = [ln.replace(",", " , ").rstrip("\n") + " \t\n" if ln[:1] in "-0123456789" else ln
+             for ln in _export_lines(gr)]
+    back = read_matrix(io.StringIO("".join(lines)))
+    np.testing.assert_array_equal(back.blocks.view(np.uint64), gr.blocks.view(np.uint64))
+
+
+def test_read_matrix_names_the_block_of_a_bad_token(config_b):
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
+    lines[start + 1] = "x" + lines[start + 1]
+    with pytest.raises(ValueError, match="block 1 1"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
 def test_affine_three_region_norm(config_c):
     # frozen from a definitional run at truncation 32
     gr = assemble(config_c, 32, policy="definitional")
