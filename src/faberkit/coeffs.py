@@ -72,6 +72,29 @@ def _extract(fn, start, axes, band):
         n *= 2
 
 
+def reuse_on_doubling(fn):
+    """fn for sample_to_coeffs that evaluates each node of a doubling once.
+
+    When the extractor doubles N its even nodes of 2N are bitwise the nodes
+    of N (2 pi t / N and 2 pi (2t) / (2N) round alike), so where the nodes
+    passed are those of 2N right after those of N, the wrapper evaluates fn
+    at the N odd nodes only and interleaves the samples it kept.  Any other
+    call evaluates fn at every node.  fn must act on each node on its own.
+    """
+    last = []
+
+    def sampled(w):
+        if last and w.size == 2 * last[0].size and np.array_equal(w[::2], last[0]):
+            odd = fn(w[1::2])
+            samples = np.stack([last[1], odd], axis=1).reshape((w.size,) + odd.shape[1:])
+        else:
+            samples = fn(w)
+        last[:] = w, samples
+        return samples
+
+    return sampled
+
+
 def sample_to_coeffs(fn, trunc):
     """Fourier coefficients 1..trunc of both signs from samples on |w| = 1.
 

@@ -8,14 +8,19 @@ The Cauchy evaluator uses the sign convention
     cauchy_eval(C, h, z) = -(1/2 pi i) * integral over C of h(zeta)/(zeta - z) dzeta,
 
 which reproduces h(z) for z outside the counterclockwise contour when h
-is analytic outside and vanishes at infinity.  It builds the matrix of
-reciprocals 1/(z - zeta) once per block of points: its largest modulus
-exceeds 1/d_min exactly when some point lies within d_min of a sample,
-and one matrix-vector product with the weights h(zeta) dzeta gives the sums.
+is analytic outside and vanishes at infinity.  It works relative to the
+map's center c and forms no complex reciprocal: per block of points one
+real matrix of squared distances |z - zeta|^2 both tests the points
+against d_min (through its minimum) and, inverted in place, gives the
+trapezoid sums as one real product with four rows of weights, combined
+as conj(z - c) A - B.  Points with |z - c| >= 2^54 max |zeta - c|, where
+z - zeta is z - c to rounding and |z - zeta|^2 may overflow, take the
+far-field value (sum of weights) / (z - c).
 """
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.spatial.distance import cdist
 
 from .domain import evaluate_map, map_derivative
 from .errors import TooCloseToContour
@@ -63,38 +68,58 @@ class Contour:
 def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     """-(1/2 pi i) * integral of h(zeta)/(zeta - z) dzeta at points z.
 
-    h_samples are values of h at contour.points().  For each block of
-    points the matrix inv[k, j] = 1/(z_j - zeta_k) is formed in place.  A
-    point within d_min of a sample makes max |inv| > 1/d_min (a point on
-    a sample makes its entry NaN, which fails the test as well) and
-    raises TooCloseToContour, naming the point and its distance.
-    Otherwise the trapezoid sum is the product of the weights
-    h(zeta) dzeta with inv.  NaN points give NaN.
+    h_samples are values of h at contour.points().  With c the map's
+    center, u = z - c and v_k = zeta_k - c, the trapezoid sum over the
+    weights w_k = h(zeta_k) dzeta_k is
+
+        sum_k w_k / (u - v_k) = conj(u) A - B,
+        A = sum_k w_k / s_k,  B = sum_k w_k conj(v_k) / s_k,
+
+    with the real matrix s_k = |u - v_k|^2.  For each block of points s is
+    one cdist pass; a point within d_min of a sample makes min s < d_min^2
+    (a point on a sample makes it 0) and raises TooCloseToContour, naming
+    the point and its distance.  Otherwise s is inverted in place and A
+    and B come from one real product of the four rows Re w, Im w,
+    Re w conj(v), Im w conj(v) with it.  Centering bounds the cancellation
+    in conj(u) A - B by |u| / |u - v_k|, whatever the map's offset from 0.
+    Far points, |u| >= 2^54 max |v|, take (sum_k w_k) / u instead: there
+    u - v_k equals u to rounding, and |u|^2 may overflow; a z with one
+    infinite part gives 0.  NaN points give NaN; d_min must be positive.
     """
+    if not d_min > 0:
+        raise ValueError("d_min must be positive")
     h_samples = np.asarray(h_samples, dtype=complex)
     zeta = contour.points()
     if h_samples.shape != zeta.shape:
         raise ValueError("h_samples must match the contour sampling")
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.full_like(z_arr, np.nan)
-    # NaN points stay NaN and leave the matrix, so a NaN in it is a sample hit
-    live = np.flatnonzero(~np.isnan(z_arr))
-    block = 4096
+    center = contour.map_spec.center
+    u = z_arr - center
+    v = zeta - center
     weights = h_samples * contour.dpoints()
-    for start in range(0, live.size, block):
-        idx = live[start : start + block]
-        zb = z_arr[idx]
-        inv = zb[None, :] - zeta[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.reciprocal(inv, out=inv)
-        modulus = np.abs(inv)
-        if not np.max(modulus) <= 1.0 / d_min:
-            k, j = divmod(int(np.argmax(modulus)), zb.size)
+    # NaN points stay NaN and never reach the matrix
+    live = ~np.isnan(u)
+    far = live & (np.abs(u) >= 2.0 ** 54 * np.max(np.abs(v)))
+    out[far] = weights.sum() / u[far]
+    near = np.flatnonzero(live & ~far)
+    wv = weights * v.conj()
+    rows = np.stack([weights.real, weights.imag, wv.real, wv.imag])
+    v_xy = np.column_stack([v.real, v.imag])
+    block = 4096
+    for start in range(0, near.size, block):
+        idx = near[start : start + block]
+        ub = u[idx]
+        s = cdist(v_xy, np.column_stack([ub.real, ub.imag]), "sqeuclidean")
+        if not np.min(s) >= d_min * d_min:
+            k, j = divmod(int(np.argmin(s)), idx.size)
             raise TooCloseToContour(
                 "evaluation point %s is %.3g from the contour, below d_min %.3g"
-                % (complex(zb[j]), abs(zb[j] - zeta[k]), d_min)
+                % (complex(z_arr[idx[j]]), abs(z_arr[idx[j]] - zeta[k]), d_min)
             )
-        out[idx] = weights @ inv
+        np.reciprocal(s, out=s)
+        a_re, a_im, b_re, b_im = rows @ s
+        out[idx] = ub.conj() * (a_re + 1j * a_im) - (b_re + 1j * b_im)
     out /= 1j * zeta.size
     if np.ndim(z) == 0:
         return complex(out[0])

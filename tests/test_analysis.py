@@ -126,6 +126,34 @@ def test_projections_are_orthogonal(config_a):
     np.testing.assert_allclose(other(z), 0, atol=1e-11)
 
 
+def seeded_rational(config, seed):
+    """One or two poles f_j(w0), |w0| <= 0.6, of order 1 or 2 in every region j."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for spec in config.maps:
+        for _ in range(rng.integers(1, 3)):
+            w0 = 0.6 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+            coeff = complex(rng.standard_normal(), rng.standard_normal())
+            terms.append((complex(evaluate_map(spec, w0)), int(rng.integers(1, 3)), coeff))
+    return RationalFn(terms=tuple(terms))
+
+
+@pytest.mark.parametrize("config", BUNDLED, ids=lambda c: "n%d" % c.n)
+def test_projection_rounding_floor(config):
+    # over the whole probe grid the quadrature projections stay within
+    # 1e-13 of max |h| of the exact components (about 2e-14 is reached)
+    probes = probe_grid(config)
+    worst = 0.0
+    for seed in range(20):
+        h = seeded_rational(config, seed)
+        comps = decompose(config, h, probes=probes).components
+        scale = float(np.max(np.abs(h(probes))))
+        for i, comp in enumerate(comps):
+            gap = np.max(np.abs(projection_component(config, i, h)(probes) - comp(probes)))
+            worst = max(worst, float(gap) / scale)
+    assert worst <= 1e-13
+
+
 def test_pullback_boundary_closed_forms(config_a):
     h = RationalFn.single(-2.0 - 0.0j, 1, 1.0)
     # through its own map w -> -2 + w the pullback is exactly w^{-1}

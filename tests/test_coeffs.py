@@ -11,6 +11,7 @@ from faberkit import (
     dirichlet_norm,
     sample_to_coeffs,
 )
+from faberkit.coeffs import reuse_on_doubling
 from faberkit.pseries import torus_coeffs
 
 
@@ -69,6 +70,25 @@ def test_sample_to_coeffs_doubles_past_1024_at_large_trunc():
     assert sizes == [1024, 2048]
     n = np.arange(1, 129)
     np.testing.assert_allclose(pos, -(1.04 ** (-n - 1.0)), rtol=1e-12)
+
+
+def test_doubling_evaluates_each_node_once():
+    # the doubling of the test above, 1024 -> 2048, evaluates 2048 samples,
+    # not 1024 + 2048, and gives the same coefficients bit for bit
+    sizes = []
+
+    def samples(w):
+        sizes.append(w.size)
+        return np.stack([1.0 / (w - 1.04), w ** 2 / (w + 1.05)], axis=1)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        neg, pos = sample_to_coeffs(reuse_on_doubling(samples), 128)
+        assert sizes == [1024, 1024]
+        ref_neg, ref_pos = sample_to_coeffs(samples, 128)
+    assert sizes[2:] == [1024, 2048]
+    np.testing.assert_array_equal(neg, ref_neg)
+    np.testing.assert_array_equal(pos, ref_pos)
 
 
 # a slowly decaying sampler (its alias band never clears) and a sampler

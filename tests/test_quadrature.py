@@ -49,6 +49,13 @@ def test_cauchy_eval_too_close():
         cauchy_eval(c, c.points(), np.array([1.0 + 1e-4]), d_min=0.05)
 
 
+@pytest.mark.parametrize("d_min", [0.0, -0.05])
+def test_cauchy_eval_refuses_non_positive_d_min(d_min):
+    c = unit_circle()
+    with pytest.raises(ValueError, match="d_min must be positive"):
+        cauchy_eval(c, c.points(), c.points()[3], d_min=d_min)
+
+
 def _radial_offset(c, k, dist):
     """The point dist outside sample k of a circle centered at 0; sample k is nearest."""
     zeta = c.points()[k]
@@ -124,3 +131,37 @@ def test_cauchy_eval_matches_dense_reference(problem):
         assert isinstance(got, complex)
         got = np.array([got])
     np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("center", [0.0, 3.0 - 2.0j])
+def test_cauchy_eval_far_and_infinite_points(center):
+    # NaN stays NaN, infinity gives 0, and far points up to |z| = 1e300 keep
+    # the dense value although |z - zeta|^2 overflows from |z| ~ 1e154 on
+    c = Contour.image(ConformalMapSpec(center=center, coeffs=(1.0, 0.2)), 1.0, n_samples=256)
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    inf = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        special = cauchy_eval(c, h, np.array([complex(inf, 0), complex(-inf, 0),
+                                              complex(0, inf), complex(0, -inf),
+                                              complex(np.nan, 0)]))
+        np.testing.assert_array_equal(special[:4], 0)
+        assert np.isnan(special[4])
+        assert cauchy_eval(c, h, inf) == 0
+        radius = 10.0 ** np.linspace(1, 300, 300)
+        z = center + radius * np.exp(2j * np.pi * rng.random(radius.size))
+        np.testing.assert_allclose(cauchy_eval(c, h, z), dense_cauchy(c, h, z), rtol=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_cauchy_eval_accuracy_does_not_depend_on_offset(offset):
+    # the kernel works relative to the map's center: a sum conj(z) A - B
+    # taken about 0 would lose about |z| / |z - zeta| of its digits here
+    c = Contour.image(ConformalMapSpec(center=offset * (1 + 1j), coeffs=(1.0, 0.2)), 1.0,
+                      n_samples=1024)
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    radius = 1.2 + 0.1 + rng.exponential(2.0, 500)
+    z = c.map_spec.center + radius * np.exp(2j * np.pi * rng.random(radius.size))
+    np.testing.assert_allclose(cauchy_eval(c, h, z), dense_cauchy(c, h, z), rtol=1e-12)
