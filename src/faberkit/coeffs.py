@@ -15,7 +15,11 @@ sizing loop, _extract: N starts at the caller's size and doubles while the
 caller's alias band holds more than ALIAS_TOL of the spectral peak, up to
 the cap max(1024, 4 * start), past which an AliasWarning is issued.  The
 circle's band is the fold band around Nyquist, N/2 +- N/8; the torus's
-is the top eighth of each axis.
+is the top eighth of each axis.  The circle also carries its band floor
+down the band's own decay to the nearest alias of a kept coefficient and
+doubles while that estimate exceeds FOLD_TOL of the peak: a small,
+slowly decaying component can pass the band test and still alias above
+1e-12 of the peak into the coefficients kept.
 """
 
 import warnings
@@ -25,6 +29,7 @@ import numpy as np
 from .errors import AliasWarning
 
 ALIAS_TOL = 1e-8
+FOLD_TOL = 1e-13
 
 
 def dirichlet_norm(a):
@@ -39,14 +44,31 @@ def _start_points(trunc):
     return 1 << max(7, (4 * trunc + 8).bit_length())
 
 
-def _extract(fn, start, axes, band):
+def _fold_estimate(mag, n):
+    """The circle's alias at its kept coefficients, extrapolated from the fold band.
+
+    The band N/2 +- N/8 holds |frequency| 3N/8 to N/2; its floor sits at
+    3N/8 and its outer half, within N/16 of Nyquist, is smaller by the decay
+    over N/16 frequencies.  Coefficients m < N/4 are aliased from |m - N| >
+    3N/4, six such steps past 3N/8, so the estimate is floor * ratio^6.
+    """
+    e = n // 8
+    floor = float(np.max(mag[n // 2 - e : n // 2 + e + 1]))
+    if floor == 0.0:
+        return 0.0
+    outer = float(np.max(mag[n // 2 - e // 2 : n // 2 + e // 2 + 1]))
+    return floor * (outer / floor) ** 6
+
+
+def _extract(fn, start, axes, band, fold=None):
     """Normalized FFT of fn's samples at the N-th roots of unity, N sized by its alias floor.
 
     fn(w) returns samples over `axes` leading axes (1: the circle, 2: the
     torus) at the nodes w_t = exp(2 pi i t / N).  band(n) lists the index
     expressions of the spectrum that hold the alias floor at N = n.  N starts
     at `start` and doubles while the floor exceeds ALIAS_TOL of the spectral
-    peak; past max(1024, 4 start) an AliasWarning is issued instead.
+    peak, or while fold(mag, n), where given, exceeds FOLD_TOL of it; past
+    max(1024, 4 start) an AliasWarning is issued instead.
     Samples that are not all finite stay so at any N: they are warned about
     at once and not resampled.  Returns the spectrum; N is its first extent.
     """
@@ -61,13 +83,16 @@ def _extract(fn, start, axes, band):
             warnings.warn("samples are not finite at N = %d" % n, AliasWarning)
             return spec
         floor = max(float(np.max(mag[idx])) for idx in band(n))
-        if floor <= ALIAS_TOL * peak:
+        folded = 0.0 if fold is None else fold(mag, n)
+        if floor <= ALIAS_TOL * peak and folded <= FOLD_TOL * peak:
             return spec
         if n >= max(1024, 4 * start):
-            warnings.warn(
-                "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak),
-                AliasWarning,
-            )
+            if floor > ALIAS_TOL * peak:
+                msg = "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak)
+            else:
+                msg = "folded alias estimate %.3g exceeds %.3g of spectral peak" % (
+                    folded, FOLD_TOL * peak)
+            warnings.warn(msg, AliasWarning)
             return spec
         n *= 2
 
@@ -101,10 +126,11 @@ def sample_to_coeffs(fn, trunc):
     fn(w) returns samples along axis 0 at the N nodes w_t = exp(2 pi i t / N).
     Returns (neg, pos) with neg[m-1] = a_{-m}, pos[n-1] = a_n along axis 0.
     N starts at _start_points(trunc); the alias floor is the fold band
-    around the Nyquist bin, N/8 to either side (see _extract for the
+    around the Nyquist bin, N/8 to either side, and N also doubles while
+    _fold_estimate exceeds FOLD_TOL of the peak (see _extract for the
     doubling, the cap and the warnings).
     """
     spec = _extract(fn, _start_points(trunc), 1,
-                    lambda n: [slice(n // 2 - n // 8, n // 2 + n // 8 + 1)])
+                    lambda n: [slice(n // 2 - n // 8, n // 2 + n // 8 + 1)], _fold_estimate)
     ns = np.arange(1, trunc + 1)
     return spec[spec.shape[0] - ns], spec[ns]

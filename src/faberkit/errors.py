@@ -23,4 +23,6 @@ class AliasWarning(UserWarning):
     holds more than ALIAS_TOL of the spectral peak at the cap
     max(1024, 4 * start).  Circle and torus share that one sizing loop
     (coeffs._extract); the band is the fold band around Nyquist,
-    N/2 +- N/8, on the circle and the top eighth of each axis on the torus."""
+    N/2 +- N/8, on the circle and the top eighth of each axis on the torus.
+    On the circle it is also issued where the band floor, carried down the
+    band's own decay, still aliases more than FOLD_TOL of the peak."""

@@ -121,3 +121,47 @@ def test_extractors_share_sizing_policy(name, trunc, sizes):
             extract(samples, trunc)
         assert seen == expect
         assert len(record) == 1
+
+
+def _small_slow_pole(res, rho):
+    # 1/w plus a pole of residue res at rho: a_{-m} = [m = 1] + res rho^{m-1}
+    def fn(w):
+        return 1.0 / w + res / (w - rho)
+
+    return fn
+
+
+def test_sample_to_coeffs_sizes_by_folded_alias():
+    # the fold band of N = 128 holds 7e-9 of the peak, under ALIAS_TOL, yet
+    # the pole at 0.9 aliases 1.4e-12 into a_{-1}; its decay across the
+    # band sends N to 256, where the alias is 2e-18
+    res, rho = 1e-6, 0.9
+    seen = []
+
+    def samples(w):
+        seen.append(w.size)
+        return _small_slow_pole(res, rho)(w)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        neg, pos = sample_to_coeffs(samples, 8)
+    assert seen == [128, 256]
+    m = np.arange(1, 9)
+    np.testing.assert_allclose(neg, (m == 1) + res * rho ** (m - 1.0), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pos, 0, atol=1e-15)
+
+
+def test_sample_to_coeffs_warns_on_folded_alias():
+    # at the cap N = 1024 the fold band holds 5e-9 of the peak but the
+    # folded alias is 2.5e-10, over FOLD_TOL: warned about by that name
+    rho = 0.05 ** (1 / 384)
+    seen = []
+
+    def samples(w):
+        seen.append(w.size)
+        return _small_slow_pole(1e-7, rho)(w)
+
+    with pytest.warns(AliasWarning, match="folded alias estimate") as record:
+        sample_to_coeffs(samples, 8)
+    assert seen == [128, 256, 512, 1024]
+    assert len(record) == 1
