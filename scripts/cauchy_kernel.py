@@ -5,9 +5,11 @@ Usage: python3 scripts/cauchy_kernel.py [--reps 20] [--functions 20]
 For every config in configs/ and seeded rational functions h with poles
 inside each region, the projection onto each region's component is
 evaluated on the probe grid with one cauchy_eval call.  The columns are
-the median time of one call, the number of probes, and the worst gap
-max |projection_component - exact component| over the grid, relative
-to max |h| there.
+the median time of one call, the number of probes, the worst gap
+max |projection_component - exact component| over the grid, and the
+worst gap to the full trapezoid rule, the sum over all of the contour's
+samples that cauchy_eval's nested rules stop short of where they have
+converged; both gaps are relative to max |h| on the grid.
 """
 
 import argparse
@@ -21,7 +23,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from faberkit import RationalFn, decompose, evaluate_map, probe_grid, projection_component
+from faberkit import (
+    Contour,
+    RationalFn,
+    decompose,
+    evaluate_map,
+    probe_grid,
+    projection_component,
+)
 from faberkit.cli import load_config_file
 
 
@@ -37,17 +46,25 @@ def seeded_rational(config, seed):
     return RationalFn(terms=tuple(terms))
 
 
+def full_rule(contour, h_vals, z):
+    """The trapezoid sum over all samples, as one complex division matrix."""
+    zeta = contour.points()
+    weights = h_vals * contour.dpoints()
+    return -np.sum(weights[:, None] / (zeta[:, None] - z[None, :]), axis=0) / (1j * zeta.size)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=20, help="timed calls per projection")
     parser.add_argument("--functions", type=int, default=20, help="seeded functions per config")
     args = parser.parse_args()
 
-    print("%-16s %-10s %-7s %-10s" % ("config", "call_ms", "probes", "worst_gap"))
+    print("%-16s %-10s %-7s %-10s %-10s"
+          % ("config", "call_ms", "probes", "worst_gap", "full_rule_gap"))
     for path in sorted((ROOT / "configs").glob("*.json")):
         config = load_config_file(str(path))
         probes = probe_grid(config)
-        times, worst = [], 0.0
+        times, worst, full_gap = [], 0.0, 0.0
         for seed in range(args.functions):
             h = seeded_rational(config, seed)
             comps = decompose(config, h, probes=probes).components
@@ -59,7 +76,11 @@ def main():
                     vals = proj(probes)
                     times.append(time.perf_counter() - start)
                 worst = max(worst, float(np.max(np.abs(vals - comp(probes)))) / scale)
-        print("%-16s %-10.3f %-7d %-10.3g" % (path.stem, 1e3 * np.median(times), probes.size, worst))
+                contour = Contour.image(config.maps[i], 1.0 + config.ext_margin)
+                dense = full_rule(contour, h(contour.points()), probes)
+                full_gap = max(full_gap, float(np.max(np.abs(vals - dense))) / scale)
+        print("%-16s %-10.3f %-7d %-10.3g %-10.3g"
+              % (path.stem, 1e3 * np.median(times), probes.size, worst, full_gap))
 
 
 if __name__ == "__main__":

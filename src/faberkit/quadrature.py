@@ -9,28 +9,38 @@ The Cauchy evaluator uses the sign convention
 
 which reproduces h(z) for z outside the counterclockwise contour when h
 is analytic outside and vanishes at infinity.  It works relative to the
-map's center c and forms no complex reciprocal: per block of points one
-real matrix of squared distances |z - zeta|^2 both tests the points
-against d_min (through its minimum) and, inverted in place, gives the
-trapezoid sums as one real product with four rows of weights, combined
-as conj(z - c) A - B.  Points with |z - c| >= 2^54 max |zeta - c|, where
-z - zeta is z - c to rounding and |z - zeta|^2 may overflow, take the
-far-field value (sum of weights) / (z - c).
+map's center c and forms no complex reciprocal: real matrices of squared
+distances |z - zeta|^2 test the points against d_min (through their
+minima) and, inverted in place, give the trapezoid sums as one real
+product with four rows of weights, combined as conj(z - c) A - B.
+
+Each point is summed over nested trapezoid rules: every (N/m)-th of the
+N samples, for m = 64, 128, ..., N.  Far from the contour the rule
+converges geometrically in m, so most points stop at the first rule
+whose differences to the rules before it show it has converged, and no
+sample within d_min of the point is left out; the full N-sample rule is
+the cap.  Points with
+|z - c| >= 2^54 max |zeta - c|, where z - zeta is z - c to rounding and
+|z - zeta|^2 may overflow, take the far-field value
+(sum of weights) / (z - c).
 """
 
 import numpy as np
 from dataclasses import dataclass
+from functools import lru_cache
 from scipy.spatial.distance import cdist
 
+from .coeffs import ALIAS_TOL
 from .domain import evaluate_map, map_derivative
 from .errors import TooCloseToContour
 
 DEFAULT_DMIN = 0.05
 DEFAULT_NQ = 1024
+_MIN_NQ = 64
 
 
 def _check_nq(n):
-    if n < 64 or (n & (n - 1)) != 0:
+    if n < _MIN_NQ or (n & (n - 1)) != 0:
         raise ValueError("n_samples must be a power of two >= 64")
 
 
@@ -65,26 +75,107 @@ class Contour:
         return map_derivative(self.map_spec, w) * 1j * w
 
 
+@lru_cache(maxsize=None)
+def _level_order(n):
+    """The n sample indices in the order the nested rules use them: the
+    m-node rule, every (n/m)-th sample, is the first m entries."""
+    order = [np.arange(0, n, n // _MIN_NQ)]
+    m = 2 * _MIN_NQ
+    while m <= n:
+        order.append(np.arange(n // m, n, 2 * n // m))
+        m *= 2
+    order = np.concatenate(order)
+    order.flags.writeable = False
+    return order
+
+
+def _nested_rules(v, weights, d_min):
+    """The z-independent node data of the nested rules, built once per call.
+
+    Returns, in level order, the samples v as an (n, 2) real array and the
+    weight rows Re w, Im w, Re w conj(v), Im w conj(v) as an (n, 4) array,
+    and per rule (lo, hi, bound, reach2): the m = hi node rule adds nodes
+    lo..hi-1 of that order.  For 64 < m < n, bound = ALIAS_TOL sum_used |w_k|
+    and reach2 = (d_min + lambda_m)^2 are its stop thresholds (see
+    cauchy_eval); the first rule and the full one have None.
+    """
+    n = v.size
+    order = _level_order(n)
+    vo = v[order]
+    wo = weights[order]
+    rows = np.stack([wo, wo * vo.conj()], axis=1).view(float)
+    wsum = np.cumsum(np.abs(wo))
+    # chain[k]: the chords from node k to node k + 1 of the m-node rule,
+    # for m = n the single chord from sample k to sample k + 1
+    chain = np.abs(np.diff(v, append=v[:1]))
+    rules = [(n // 2, n, None, None)] if n > _MIN_NQ else []
+    m = n // 2
+    while m > _MIN_NQ:
+        chain = chain[0::2] + chain[1::2]
+        rules.append((m // 2, m, ALIAS_TOL * wsum[m - 1], (d_min + 0.5 * chain.max()) ** 2))
+        m //= 2
+    rules.append((0, _MIN_NQ, None, None))
+    rules.reverse()
+    return vo.view(float).reshape(n, 2), rows, rules
+
+
+def _too_close(z_pts, u_pts, zeta, v, d_min):
+    """TooCloseToContour for the pair of point and sample that is nearest
+    over all samples, found as the full rule's matrix finds it."""
+    s = cdist(v.view(float).reshape(-1, 2), u_pts.view(float).reshape(-1, 2), "sqeuclidean")
+    k, j = divmod(int(np.argmin(s)), u_pts.size)
+    z = complex(z_pts[j])
+    return TooCloseToContour(
+        "evaluation point %s is %.3g from the contour, below d_min %.3g"
+        % (z, abs(z - zeta[k]), d_min)
+    )
+
+
 def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     """-(1/2 pi i) * integral of h(zeta)/(zeta - z) dzeta at points z.
 
     h_samples are values of h at contour.points().  With c the map's
     center, u = z - c and v_k = zeta_k - c, the trapezoid sum over the
-    weights w_k = h(zeta_k) dzeta_k is
+    N = contour.n_samples weights w_k = h(zeta_k) dzeta_k is
 
-        sum_k w_k / (u - v_k) = conj(u) A - B,
+        S_N = sum_k w_k / (u - v_k) = conj(u) A - B,
         A = sum_k w_k / s_k,  B = sum_k w_k conj(v_k) / s_k,
 
-    with the real matrix s_k = |u - v_k|^2.  For each block of points s is
-    one cdist pass; a point within d_min of a sample makes min s < d_min^2
-    (a point on a sample makes it 0) and raises TooCloseToContour, naming
-    the point and its distance.  Otherwise s is inverted in place and A
-    and B come from one real product of the four rows Re w, Im w,
-    Re w conj(v), Im w conj(v) with it.  Centering bounds the cancellation
-    in conj(u) A - B by |u| / |u - v_k|, whatever the map's offset from 0.
-    Far points, |u| >= 2^54 max |v|, take (sum_k w_k) / u instead: there
-    u - v_k equals u to rounding, and |u|^2 may overflow; a z with one
-    infinite part gives 0.  NaN points give NaN; d_min must be positive.
+    with the real s_k = |u - v_k|^2, and the integral is S_N / (i N).
+    Centering bounds the cancellation in conj(u) A - B by |u| / |u - v_k|,
+    whatever the map's offset from 0.
+
+    Nested rules.  I_m = S_m / (i m) sums over every (N/m)-th sample, for
+    m = 64, 128, ..., N.  Per block of up to 4096 points the 64-node rule
+    sums every point, with one cdist pass, one in-place reciprocal and one
+    real product with the four weight rows; each later rule adds only its
+    m/2 new nodes, and only for the points still open.  The z-independent
+    node data of all rules is built once per call.  With r the distance
+    from the point to its nearest used node, a point stops at 64 < m < N
+    when
+
+      1. |I_m - I_{m/2}| <= ALIAS_TOL (sum_used |w_k|) / (m r): the rule
+         has converged on the scale of the sum's terms;
+      2. from m = 256 on, |I_m - I_{m/2}|^3 / |I_{m/2} - I_{m/4}|^2, the
+         error geometric convergence predicts for I_m, is within
+         ALIAS_TOL^2 of that scale: test 1 bounds the error of I_{m/2},
+         and I_m is that much better only where the rule converges fast;
+      3. r >= d_min + lambda_m, where lambda_m is half the longest chain of
+         sample-to-sample chords between two consecutive used nodes: every
+         unused sample then lies within lambda_m of a used node, so none
+         lies within d_min of the point and the full rule would not raise.
+
+    The full rule is the cap: points still open at m = N take S_N, so a
+    point that never converges early, such as one with noisy h, gets
+    exactly the full trapezoid sum.
+
+    A point within d_min of a sample raises TooCloseToContour, naming the
+    point and its distance, as the minimum over all N samples decides it:
+    such a point never stops early, and the block's nearest pair is the one
+    named.  Far points, |u| >= 2^54 max |v|, take (sum_k w_k) / u instead:
+    there u - v_k equals u to rounding, and |u|^2 may overflow; a z with an
+    infinite part and no NaN part gives 0.  NaN points give NaN; d_min must
+    be positive.
     """
     if not d_min > 0:
         raise ValueError("d_min must be positive")
@@ -98,29 +189,53 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     u = z_arr - center
     v = zeta - center
     weights = h_samples * contour.dpoints()
+    n = zeta.size
     # NaN points stay NaN and never reach the matrix
     live = ~np.isnan(u)
     far = live & (np.abs(u) >= 2.0 ** 54 * np.max(np.abs(v)))
-    out[far] = weights.sum() / u[far]
+    # the far-field value's limit at a z with an infinite part is 0
+    out[far] = 0
+    finite_far = far & np.isfinite(u)
+    out[finite_far] = weights.sum() / u[finite_far]
     near = np.flatnonzero(live & ~far)
-    wv = weights * v.conj()
-    rows = np.stack([weights.real, weights.imag, wv.real, wv.imag])
-    v_xy = np.column_stack([v.real, v.imag])
+    xy, rows, rules = _nested_rules(v, weights, d_min)
     block = 4096
     for start in range(0, near.size, block):
         idx = near[start : start + block]
         ub = u[idx]
-        s = cdist(v_xy, np.column_stack([ub.real, ub.imag]), "sqeuclidean")
-        if not np.min(s) >= d_min * d_min:
-            k, j = divmod(int(np.argmin(s)), idx.size)
-            raise TooCloseToContour(
-                "evaluation point %s is %.3g from the contour, below d_min %.3g"
-                % (complex(z_arr[idx[j]]), abs(z_arr[idx[j]] - zeta[k]), d_min)
-            )
-        np.reciprocal(s, out=s)
-        a_re, a_im, b_re, b_im = rows @ s
-        out[idx] = ub.conj() * (a_re + 1j * a_im) - (b_re + 1j * b_im)
-    out /= 1j * zeta.size
+        r2 = np.full(idx.size, np.inf)
+        total, last2 = 0, None
+        for lo, hi, bound, reach2 in rules:
+            s = cdist(ub.view(float).reshape(-1, 2), xy[lo:hi], "sqeuclidean")
+            np.minimum(r2, s.min(axis=1), out=r2)
+            if not r2.min() >= d_min * d_min:
+                raise _too_close(z_arr[idx], ub, zeta, v, d_min)
+            np.reciprocal(s, out=s)
+            a, b = (s @ rows[lo:hi]).view(complex).T
+            part = ub.conj() * a - b
+            if hi == n:
+                out[idx] = total + part
+                break
+            if not lo:
+                total = part
+                continue
+            # |S_m - 2 S_{m/2}| = m |I_m - I_{m/2}|
+            gap = np.abs(part - total)
+            total += part
+            gap_r = gap * np.sqrt(r2)
+            gap2 = gap * gap
+            done = (gap_r <= bound) & (r2 >= reach2)
+            if last2 is not None:
+                # test 2 on the gaps: the rule before had m/2 nodes, hence the 4
+                done &= gap_r * gap2 <= 4.0 * ALIAS_TOL * bound * last2
+            last2 = gap2
+            if done.any():
+                out[idx[done]] = total[done] * (n // hi)
+                keep = ~done
+                idx, ub, r2, total, last2 = idx[keep], ub[keep], r2[keep], total[keep], last2[keep]
+                if not idx.size:
+                    break
+    out /= 1j * n
     if np.ndim(z) == 0:
         return complex(out[0])
     return out

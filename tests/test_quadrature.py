@@ -1,5 +1,7 @@
 """Cauchy quadrature against residue calculus and the dense reference sum."""
 
+import math
+import pathlib
 import re
 import warnings
 
@@ -7,7 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faberkit import ConformalMapSpec, Contour, TooCloseToContour, cauchy_eval
+from faberkit import (
+    ConformalMapSpec,
+    Contour,
+    RationalFn,
+    TooCloseToContour,
+    cauchy_eval,
+    evaluate_map,
+    probe_grid,
+    quadrature,
+)
+from faberkit.cli import load_config_file
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def dense_cauchy(contour, h_samples, z):
@@ -145,9 +159,10 @@ def test_cauchy_eval_far_and_infinite_points(center):
         warnings.simplefilter("error")
         special = cauchy_eval(c, h, np.array([complex(inf, 0), complex(-inf, 0),
                                               complex(0, inf), complex(0, -inf),
+                                              complex(inf, inf), complex(-inf, inf),
                                               complex(np.nan, 0)]))
-        np.testing.assert_array_equal(special[:4], 0)
-        assert np.isnan(special[4])
+        np.testing.assert_array_equal(special[:6], 0)
+        assert np.isnan(special[6])
         assert cauchy_eval(c, h, inf) == 0
         radius = 10.0 ** np.linspace(1, 300, 300)
         z = center + radius * np.exp(2j * np.pi * rng.random(radius.size))
@@ -165,3 +180,94 @@ def test_cauchy_eval_accuracy_does_not_depend_on_offset(offset):
     radius = 1.2 + 0.1 + rng.exponential(2.0, 500)
     z = c.map_spec.center + radius * np.exp(2j * np.pi * rng.random(radius.size))
     np.testing.assert_allclose(cauchy_eval(c, h, z), dense_cauchy(c, h, z), rtol=1e-12)
+
+
+def test_cauchy_eval_slow_convergence_keeps_full_rule_accuracy():
+    # just beyond d_min + lambda_256 the 256-node rule converges slowly: a
+    # small difference to the 128-node rule alone would stop these points
+    # about 1e-13 from the full rule
+    c = Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
+    zeta = c.points()
+    h = 1.0 / (zeta - 0.9)
+    dist = np.linspace(0.055, 0.1, 10)
+    z = (-(1 + dist[:, None]) * np.exp(1j * np.linspace(-0.5, 0.5, 41))).ravel()
+    np.testing.assert_allclose(cauchy_eval(c, h, z), dense_cauchy(c, h, z), rtol=1e-14)
+
+
+def _too_close_message(zeta, z, d_min):
+    """The TooCloseToContour message for the nearest pair over all samples."""
+    k, j = divmod(int(np.argmin(np.abs(zeta[:, None] - z[None, :]))), z.size)
+    return "evaluation point %s is %.3g from the contour, below d_min %.3g" % (
+        complex(z[j]), abs(z[j] - zeta[k]), d_min)
+
+
+@settings(max_examples=40, deadline=None)
+@given(contour_problems())
+def test_cauchy_eval_d_min_decision_matches_dense_minimum(problem):
+    # points 0.5-3 d_min from samples and from midpoints between them, on
+    # both sides of the contour: a point raises exactly when the minimum
+    # over all samples is below d_min, whichever rule it would stop at.
+    # h = 0 converges at once, so there only the geometry keeps a close
+    # point from stopping early.
+    contour, _, seed = problem
+    rng = np.random.default_rng(seed)
+    zeta = contour.points()
+    n, d_min = zeta.size, 0.05
+    k = rng.integers(0, n, 8)
+    base = np.where(rng.random(8) < 0.5, zeta[k], 0.5 * (zeta[k] + zeta[(k + 1) % n]))
+    z = base + d_min * rng.uniform(0.5, 3.0, 8) * np.exp(2j * np.pi * rng.random(8))
+    near = np.min(np.abs(zeta[:, None] - z[None, :]), axis=0) < d_min
+    # analytic near the contour: the pole's parameter is w = 0
+    analytic = 1.0 / (zeta - contour.map_spec.center)
+    for h in (analytic, np.zeros(n)):
+        ref = dense_cauchy(contour, h, z)
+        # inside the contour the integral is 0 and both sums are rounding about it
+        atol = 1e-12 * float(np.max(np.abs(h)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(z.size):
+                if near[j]:
+                    msg = _too_close_message(zeta, z[j:j + 1], d_min)
+                    with pytest.raises(TooCloseToContour, match=re.escape(msg)):
+                        cauchy_eval(contour, h, complex(z[j]), d_min=d_min)
+                else:
+                    got = cauchy_eval(contour, h, complex(z[j]), d_min=d_min)
+                    np.testing.assert_allclose(got, ref[j], rtol=1e-12, atol=atol)
+            if near.any():
+                msg = _too_close_message(zeta, z, d_min)
+                with pytest.raises(TooCloseToContour, match=re.escape(msg)):
+                    cauchy_eval(contour, h, z, d_min=d_min)
+            else:
+                np.testing.assert_allclose(cauchy_eval(contour, h, z, d_min=d_min), ref,
+                                           rtol=1e-12, atol=atol)
+
+
+def test_cauchy_eval_nested_rules_save_pairs(monkeypatch):
+    # on three_disks' probe grid most points stop long before the full
+    # rule, at no cost in accuracy against it
+    config = load_config_file(str(CONFIGS / "three_disks.json"))
+    probes = probe_grid(config)
+    rng = np.random.default_rng(5)
+    terms = []
+    for spec in config.maps:
+        for order in (1, 2):
+            w0 = 0.6 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+            terms.append((complex(evaluate_map(spec, w0)), order,
+                          complex(rng.standard_normal(), rng.standard_normal())))
+    h = RationalFn(terms=tuple(terms))
+    scale = float(np.max(np.abs(h(probes))))
+    pairs = []
+    cdist = quadrature.cdist
+
+    def counting_cdist(a, b, metric):
+        pairs.append(len(a) * len(b))
+        return cdist(a, b, metric)
+
+    monkeypatch.setattr(quadrature, "cdist", counting_cdist)
+    for spec in config.maps:
+        contour = Contour.image(spec, 1.0 + config.ext_margin)
+        h_vals = h(contour.points())
+        pairs.clear()
+        got = cauchy_eval(contour, h_vals, probes)
+        assert sum(pairs) <= contour.n_samples * probes.size / 4
+        assert np.max(np.abs(got - dense_cauchy(contour, h_vals, probes))) <= 1e-14 * scale
