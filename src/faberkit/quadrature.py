@@ -15,14 +15,16 @@ minima) and, inverted in place, give the trapezoid sums as one real
 product with four rows of weights, combined as conj(z - c) A - B.
 
 Each point is summed over nested trapezoid rules: every (N/m)-th of the
-N samples, for m = 64, 128, ..., N.  Far from the contour the rule
-converges geometrically in m, so most points stop at the first rule
-whose differences to the rules before it show it has converged, and no
-sample within d_min of the point is left out; the full N-sample rule is
-the cap.  Points with
-|z - c| >= 2^54 max |zeta - c|, where z - zeta is z - c to rounding and
-|z - zeta|^2 may overflow, take the far-field value
-(sum of weights) / (z - c).
+N samples, for m = 64, 128, ..., N, the 64-node rule taken as two
+32-node halves.  Far from the contour the rule converges geometrically
+in m, so most points stop at the first rule whose differences to the
+rules before it show it has converged, and no sample within d_min of
+the point is left out; a rate of convergence is read from them only
+where h's own spectrum shows h resolved.  The full N-sample rule is the
+cap.  The node data that depends on neither h nor z is kept per
+contour.  Points with |z - c| >= 2^54 max |zeta - c|, where z - zeta is
+z - c to rounding and |z - zeta|^2 may overflow, take the far-field
+value (sum of weights) / (z - c).
 """
 
 import numpy as np
@@ -78,9 +80,10 @@ class Contour:
 @lru_cache(maxsize=None)
 def _level_order(n):
     """The n sample indices in the order the nested rules use them: the
-    m-node rule, every (n/m)-th sample, is the first m entries."""
-    order = [np.arange(0, n, n // _MIN_NQ)]
-    m = 2 * _MIN_NQ
+    m-node rule, every (n/m)-th sample, is the first m entries, for
+    m = 32, 64, ..., n."""
+    order = [np.arange(0, n, 2 * n // _MIN_NQ)]
+    m = _MIN_NQ
     while m <= n:
         order.append(np.arange(n // m, n, 2 * n // m))
         m *= 2
@@ -89,39 +92,80 @@ def _level_order(n):
     return order
 
 
-def _nested_rules(v, weights, d_min):
-    """The z-independent node data of the nested rules, built once per call.
+@lru_cache(maxsize=32)
+def _node_geometry(contour):
+    """The node data of the nested rules on a contour that depends on
+    neither h nor z, built once per contour.
 
-    Returns, in level order, the samples v as an (n, 2) real array and the
-    weight rows Re w, Im w, Re w conj(v), Im w conj(v) as an (n, 4) array,
-    and per rule (lo, hi, bound, reach2): the m = hi node rule adds nodes
-    lo..hi-1 of that order.  For 64 < m < n, bound = ALIAS_TOL sum_used |w_k|
-    and reach2 = (d_min + lambda_m)^2 are its stop thresholds (see
-    cauchy_eval); the first rule and the full one have None.
+    Returns the centered samples v = zeta - c in level order as a
+    read-only (n, 2) real array, d zeta / d theta in sample order, max |v|,
+    and for each rule m = n/2, n/4, ..., 128 the half chord chain
+    lambda_m: half the longest chain of sample-to-sample chords between
+    two consecutive nodes of the m-node rule.
     """
-    n = v.size
-    order = _level_order(n)
-    vo = v[order]
-    wo = weights[order]
-    rows = np.stack([wo, wo * vo.conj()], axis=1).view(float)
-    wsum = np.cumsum(np.abs(wo))
+    n = contour.n_samples
+    v = contour.points() - contour.map_spec.center
+    xy = v[_level_order(n)].view(float).reshape(n, 2)
+    dz = contour.dpoints()
     # chain[k]: the chords from node k to node k + 1 of the m-node rule,
     # for m = n the single chord from sample k to sample k + 1
     chain = np.abs(np.diff(v, append=v[:1]))
-    rules = [(n // 2, n, None, None)] if n > _MIN_NQ else []
-    m = n // 2
-    while m > _MIN_NQ:
+    lam = []
+    while chain.size > 2 * _MIN_NQ:
         chain = chain[0::2] + chain[1::2]
-        rules.append((m // 2, m, ALIAS_TOL * wsum[m - 1], (d_min + 0.5 * chain.max()) ** 2))
-        m //= 2
-    rules.append((0, _MIN_NQ, None, None))
-    rules.reverse()
-    return vo.view(float).reshape(n, 2), rows, rules
+        lam.append(0.5 * chain.max())
+    xy.flags.writeable = False
+    dz.flags.writeable = False
+    return xy, dz, float(np.max(np.abs(v))), tuple(lam)
 
 
-def _too_close(z_pts, u_pts, zeta, v, d_min):
+def _nested_rules(xy, dz, lam, h_samples, d_min):
+    """The weights of the nested rules for one call.
+
+    Returns the weights w = h dzeta in level order, the weight rows
+    Re w, Im w, Re w conj(v), Im w conj(v) as an (n, 4) array, the first
+    64 of them as a (64, 8) array whose two column blocks give the two
+    32-node halves of the 64-node rule, and per rule (lo, hi, bound,
+    reach2, rated): the m = hi node rule adds nodes lo..hi-1 of the level
+    order.  For 64 < m < n, bound = ALIAS_TOL sum_used |w_k| and
+    reach2 = (d_min + lambda_m)^2 are its stop thresholds and rated says
+    whether the spectrum of w is resolved at m/4, so that test 2 may take
+    a rate from I_{m/4} (see cauchy_eval); the first rule and the full one
+    have None.
+    """
+    n = dz.size
+    w = h_samples * dz
+    # band[k - 1]: the largest |k'|-th Fourier coefficient of the samples
+    # w over k <= |k'| <= n/2, unnormalized
+    mag = np.abs(np.fft.fft(w))
+    band = np.maximum(mag[1 : n // 2 + 1], mag[: n // 2 - 1 : -1])
+    band = np.maximum.accumulate(band[::-1])[::-1]
+    w = w[_level_order(n)]
+    rows = np.stack([w, w * xy.view(complex).ravel().conj()], axis=1).view(float)
+    half = _MIN_NQ // 2
+    first = np.zeros((_MIN_NQ, 8))
+    first[:half, :4] = rows[:half]
+    first[half:, 4:] = rows[half:_MIN_NQ]
+    wsum = np.cumsum(np.abs(w))
+    # w is resolved at k where n |w^(k')| <= ALIAS_TOL^2 sqrt(n) sum |w_k|
+    # for all |k'| >= k
+    resolved = ALIAS_TOL ** 2 * np.sqrt(n) * wsum[-1]
+    rules = [(0, _MIN_NQ, None, None, None)]
+    m = 2 * _MIN_NQ
+    for lam_m in reversed(lam):
+        rules.append((m // 2, m, ALIAS_TOL * wsum[m - 1], (d_min + lam_m) ** 2,
+                      band[m // 4 - 1] <= resolved))
+        m *= 2
+    if n > _MIN_NQ:
+        rules.append((n // 2, n, None, None, None))
+    return w, rows, first, rules
+
+
+def _too_close(z_pts, u_pts, contour, d_min):
     """TooCloseToContour for the pair of point and sample that is nearest
     over all samples, found as the full rule's matrix finds it."""
+    zeta = contour.points()
+    v = zeta - contour.map_spec.center
     s = cdist(v.view(float).reshape(-1, 2), u_pts.view(float).reshape(-1, 2), "sqeuclidean")
     k, j = divmod(int(np.argmin(s)), u_pts.size)
     z = complex(z_pts[j])
@@ -146,28 +190,43 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     whatever the map's offset from 0.
 
     Nested rules.  I_m = S_m / (i m) sums over every (N/m)-th sample, for
-    m = 64, 128, ..., N.  Per block of up to 4096 points the 64-node rule
+    m = 32, 64, ..., N.  Per block of up to 4096 points the 64-node rule
     sums every point, with one cdist pass, one in-place reciprocal and one
-    real product with the four weight rows; each later rule adds only its
-    m/2 new nodes, and only for the points still open.  The z-independent
-    node data of all rules is built once per call.  With r the distance
-    from the point to its nearest used node, a point stops at 64 < m < N
-    when
+    real product that gives I_32 and I_64 together; each later rule adds
+    only its m/2 new nodes, and only for the points still open.  The node
+    data that depends on neither h nor z (the samples in level order,
+    d zeta / d theta and the chord chains) is built once per contour, the
+    weights and their spectrum once per call.  With r the distance from
+    the point to its nearest used node, a point stops at 64 < m < N when
 
       1. |I_m - I_{m/2}| <= ALIAS_TOL (sum_used |w_k|) / (m r): the rule
          has converged on the scale of the sum's terms;
-      2. from m = 256 on, |I_m - I_{m/2}|^3 / |I_{m/2} - I_{m/4}|^2, the
-         error geometric convergence predicts for I_m, is within
-         ALIAS_TOL^2 of that scale: test 1 bounds the error of I_{m/2},
-         and I_m is that much better only where the rule converges fast;
+      2. |I_m - I_{m/2}| q^2, the error geometric convergence at the rate
+         q = |I_m - I_{m/2}| / |I_{m/2} - I_{m/4}| predicts for I_m, is
+         within ALIAS_TOL^2 of that scale.  q is measured so only where h is
+         resolved at m/4: no Fourier coefficient of the samples w_k at
+         |k| >= m/4 exceeds ALIAS_TOL^2 sqrt(N) of their mean modulus,
+         about the full rule's own rounding.  Elsewhere q = 1, and the
+         difference itself must be that small;
       3. r >= d_min + lambda_m, where lambda_m is half the longest chain of
          sample-to-sample chords between two consecutive used nodes: every
          unused sample then lies within lambda_m of a used node, so none
          lies within d_min of the point and the full rule would not raise.
 
+    The error of I_m is a sum of geometric parts: one from the point, of
+    amplitude about |h(z)|, and those from the singularities of h.  Where
+    a fast part fills I_{m/4} and a slower one of small amplitude has
+    taken over by I_{m/2}, the differences fall fast although I_m is still
+    off, and no rate taken from the differences alone can tell: a pole of
+    h with small residue near the contour beside a point that converges
+    fast, or a point near a zero of h beside fast parts of h.  Once h is
+    resolved at m/4, one FFT per call for all points, only the point's own
+    part is left in I_{m/4}, I_{m/2} and I_m, and its rate is the one q
+    measures.
+
     The full rule is the cap: points still open at m = N take S_N, so a
     point that never converges early, such as one with noisy h, gets
-    exactly the full trapezoid sum.
+    the full trapezoid sum.
 
     A point within d_min of a sample raises TooCloseToContour, naming the
     point and its distance, as the minimum over all N samples decides it:
@@ -180,54 +239,56 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     if not d_min > 0:
         raise ValueError("d_min must be positive")
     h_samples = np.asarray(h_samples, dtype=complex)
-    zeta = contour.points()
-    if h_samples.shape != zeta.shape:
+    n = contour.n_samples
+    if h_samples.shape != (n,):
         raise ValueError("h_samples must match the contour sampling")
+    xy, dz, vmax, lam = _node_geometry(contour)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.full_like(z_arr, np.nan)
-    center = contour.map_spec.center
-    u = z_arr - center
-    v = zeta - center
-    weights = h_samples * contour.dpoints()
-    n = zeta.size
+    u = z_arr - contour.map_spec.center
+    w, rows, first, rules = _nested_rules(xy, dz, lam, h_samples, d_min)
     # NaN points stay NaN and never reach the matrix
     live = ~np.isnan(u)
-    far = live & (np.abs(u) >= 2.0 ** 54 * np.max(np.abs(v)))
+    far = live & (np.abs(u) >= 2.0 ** 54 * vmax)
     # the far-field value's limit at a z with an infinite part is 0
     out[far] = 0
     finite_far = far & np.isfinite(u)
-    out[finite_far] = weights.sum() / u[finite_far]
+    out[finite_far] = w.sum() / u[finite_far]
     near = np.flatnonzero(live & ~far)
-    xy, rows, rules = _nested_rules(v, weights, d_min)
     block = 4096
     for start in range(0, near.size, block):
         idx = near[start : start + block]
         ub = u[idx]
         r2 = np.full(idx.size, np.inf)
-        total, last2 = 0, None
-        for lo, hi, bound, reach2 in rules:
+        for lo, hi, bound, reach2, rated in rules:
             s = cdist(ub.view(float).reshape(-1, 2), xy[lo:hi], "sqeuclidean")
             np.minimum(r2, s.min(axis=1), out=r2)
             if not r2.min() >= d_min * d_min:
-                raise _too_close(z_arr[idx], ub, zeta, v, d_min)
+                raise _too_close(z_arr[idx], ub, contour, d_min)
             np.reciprocal(s, out=s)
-            a, b = (s @ rows[lo:hi]).view(complex).T
-            part = ub.conj() * a - b
+            if lo:
+                a, b = (s @ rows[lo:hi]).view(complex).T
+                part = ub.conj() * a - b
+            else:
+                # S_32 and the 32 nodes that make it S_64
+                a, b, a_odd, b_odd = (s @ first).view(complex).T
+                total = ub.conj() * a - b
+                part = ub.conj() * a_odd - b_odd
             if hi == n:
                 out[idx] = total + part
                 break
-            if not lo:
-                total = part
-                continue
             # |S_m - 2 S_{m/2}| = m |I_m - I_{m/2}|
             gap = np.abs(part - total)
             total += part
-            gap_r = gap * np.sqrt(r2)
             gap2 = gap * gap
-            done = (gap_r <= bound) & (r2 >= reach2)
-            if last2 is not None:
-                # test 2 on the gaps: the rule before had m/2 nodes, hence the 4
-                done &= gap_r * gap2 <= 4.0 * ALIAS_TOL * bound * last2
+            if bound is None:
+                last2 = gap2
+                continue
+            gap_r = gap * np.sqrt(r2)
+            # test 2: the rule before had m/2 nodes, hence the 4
+            ref2 = 4.0 * last2 if rated else gap2
+            done = ((gap_r <= bound) & (r2 >= reach2)
+                    & (gap_r * gap2 <= ALIAS_TOL * bound * ref2))
             last2 = gap2
             if done.any():
                 out[idx[done]] = total[done] * (n // hi)

@@ -271,3 +271,27 @@ def test_cauchy_eval_nested_rules_save_pairs(monkeypatch):
         got = cauchy_eval(contour, h_vals, probes)
         assert sum(pairs) <= contour.n_samples * probes.size / 4
         assert np.max(np.abs(got - dense_cauchy(contour, h_vals, probes))) <= 1e-14 * scale
+
+
+
+_RINGS = np.concatenate([r * np.exp(2j * np.pi * np.arange(8) / 8) for r in (1.5, 2.0, 3.0)])
+
+
+@pytest.mark.parametrize("h, z", [
+    # a pole of small residue near the contour, beside points whose own
+    # part converges fast
+    (lambda zeta: 1.0 / zeta + 1e-6 / (zeta - 0.9), _RINGS),
+    (lambda zeta: 1.0 / zeta + 2e-8 / (zeta - 0.99), _RINGS),
+    # points near a zero of h, just outside d_min + lambda_128, beside
+    # faster parts of h
+    (lambda zeta: 1.0 / zeta - 0.5 / (zeta - 0.54),
+     1.08 + np.array([0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])),
+], ids=["small-residue-0.9", "small-residue-0.99", "near-zero-of-h"])
+def test_cauchy_eval_masked_slow_part_keeps_full_rule_accuracy(h, z):
+    # the error is a slow part of small amplitude under a fast part that
+    # fills the coarser rules: the differences of the rules fall fast long
+    # before the slow part is summed
+    c = Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
+    h_vals = h(c.points())
+    gap = np.abs(cauchy_eval(c, h_vals, z) - dense_cauchy(c, h_vals, z))
+    assert np.max(gap) <= 1e-14 * np.max(np.abs(h_vals))
