@@ -64,7 +64,11 @@ def _extract(fn, start, axes, band, fold=None):
     """Normalized FFT of fn's samples at the N-th roots of unity, N sized by its alias floor.
 
     fn(w) returns samples over `axes` leading axes (1: the circle, 2: the
-    torus) at the nodes w_t = exp(2 pi i t / N).  band(n) lists the index
+    torus) at the nodes w_t = exp(2 pi i t / N).  On the circle fn must act
+    on each node on its own: the nodes of N are the even nodes of 2N, so a
+    doubling evaluates fn at the N odd nodes only and interleaves the
+    samples it kept.  The torus kernels are not pointwise in one node
+    vector and are evaluated at every node.  band(n) lists the index
     expressions of the spectrum that hold the alias floor at N = n.  N starts
     at `start` and doubles while the floor exceeds ALIAS_TOL of the spectral
     peak, or while fold(mag, n), where given, exceeds FOLD_TOL of it; past
@@ -73,8 +77,14 @@ def _extract(fn, start, axes, band, fold=None):
     at once and not resampled.  Returns the spectrum; N is its first extent.
     """
     n = start
+    kept = None
     while True:
-        samples = fn(np.exp(2j * np.pi * np.arange(n) / n))
+        w = np.exp(2j * np.pi * np.arange(n) / n)
+        if kept is None:
+            samples = fn(w)
+        else:
+            odd = fn(w[1::2])
+            samples = np.stack([kept, odd], axis=1).reshape((n,) + odd.shape[1:])
         spec = np.fft.fft(samples, axis=0) if axes == 1 else np.fft.fft2(samples)
         spec /= n ** axes
         mag = np.abs(spec)
@@ -94,30 +104,8 @@ def _extract(fn, start, axes, band, fold=None):
                     folded, FOLD_TOL * peak)
             warnings.warn(msg, AliasWarning)
             return spec
+        kept = samples if axes == 1 else None
         n *= 2
-
-
-def reuse_on_doubling(fn):
-    """fn for sample_to_coeffs that evaluates each node of a doubling once.
-
-    When the extractor doubles N its even nodes of 2N are bitwise the nodes
-    of N (2 pi t / N and 2 pi (2t) / (2N) round alike), so where the nodes
-    passed are those of 2N right after those of N, the wrapper evaluates fn
-    at the N odd nodes only and interleaves the samples it kept.  Any other
-    call evaluates fn at every node.  fn must act on each node on its own.
-    """
-    last = []
-
-    def sampled(w):
-        if last and w.size == 2 * last[0].size and np.array_equal(w[::2], last[0]):
-            odd = fn(w[1::2])
-            samples = np.stack([last[1], odd], axis=1).reshape((w.size,) + odd.shape[1:])
-        else:
-            samples = fn(w)
-        last[:] = w, samples
-        return samples
-
-    return sampled
 
 
 def sample_to_coeffs(fn, trunc):

@@ -54,10 +54,9 @@ class MultiDomainConfig:
             raise ValueError("need at least one map")
         if not all(isinstance(m, ConformalMapSpec) for m in self.maps):
             raise TypeError("maps must be ConformalMapSpec instances")
-        if not (self.ext_margin > 0):
-            raise ValueError("ext_margin must be positive")
-        if not (self.separation > 0):
-            raise ValueError("separation must be positive")
+        for name in ("ext_margin", "separation"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError("%s must be positive and finite" % name)
 
     @property
     def n(self):

@@ -49,7 +49,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import pseries
-from .coeffs import reuse_on_doubling, sample_to_coeffs
+from .coeffs import sample_to_coeffs
 from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.py
 from .domain import evaluate_map, map_derivative
 from .errors import MethodDisagreement
@@ -75,7 +75,7 @@ def faber_pullback_block(config, j, i, trunc, n_samples=None):
     def samples(w):  # samples[t, m-1] = Phi^i_m(f_j(w_t))
         return faber_values(spec_i, 1.0 / (evaluate_map(spec_j, w) - spec_i.center), trunc)
 
-    neg, pos = sample_to_coeffs(reuse_on_doubling(samples), trunc)
+    neg, pos = sample_to_coeffs(samples, trunc)
     expect = np.eye(trunc, dtype=complex) if i == j else np.zeros((trunc, trunc))
     defect = float(np.max(np.abs(neg - expect)))
     return pos, defect

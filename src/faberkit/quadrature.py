@@ -14,17 +14,18 @@ distances |z - zeta|^2 test the points against d_min (through their
 minima) and, inverted in place, give the trapezoid sums as one real
 product with four rows of weights, combined as conj(z - c) A - B.
 
-Each point is summed over nested trapezoid rules: every (N/m)-th of the
-N samples, for m = 64, 128, ..., N, the 64-node rule taken as two
-32-node halves.  Far from the contour the rule converges geometrically
-in m, so most points stop at the first rule whose differences to the
-rules before it show it has converged, and no sample within d_min of
-the point is left out; a rate of convergence is read from them only
-where h's own spectrum shows h resolved.  The full N-sample rule is the
-cap.  The node data that depends on neither h nor z is kept per
-contour.  Points with |z - c| >= 2^54 max |zeta - c|, where z - zeta is
-z - c to rounding and |z - zeta|^2 may overflow, take the far-field
-value (sum of weights) / (z - c).
+Each point is summed over nested trapezoid rules, strided views of the
+samples: the m-node rule, every (N/m)-th sample for m = 64, 128, ..., N,
+adds its odd nodes [N/m::2N/m] to the rule before it, and the 64-node
+rule is taken as its even and odd nodes, two 32-node halves.  Far from
+the contour the rule converges geometrically in m, so most points stop
+at the first rule whose differences to the rules before it show it has
+converged, and no sample within d_min of the point is left out; a rate
+of convergence is read from them only where h's own spectrum shows h
+resolved.  The full N-sample rule is the cap; the node data that
+depends on neither h nor z is kept per contour.  Points with |z - c| >=
+2^54 max |zeta - c|, where z - zeta is z - c to rounding and |z - zeta|^2
+may overflow, take the far-field value (sum of weights) / (z - c).
 """
 
 import numpy as np
@@ -57,8 +58,8 @@ class Contour:
 
     def __post_init__(self):
         _check_nq(self.n_samples)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
     @classmethod
     def image(cls, map_spec, radius, n_samples=DEFAULT_NQ):
@@ -77,61 +78,36 @@ class Contour:
         return map_derivative(self.map_spec, w) * 1j * w
 
 
-@lru_cache(maxsize=None)
-def _level_order(n):
-    """The n sample indices in the order the nested rules use them: the
-    m-node rule, every (n/m)-th sample, is the first m entries, for
-    m = 32, 64, ..., n."""
-    order = [np.arange(0, n, 2 * n // _MIN_NQ)]
-    m = _MIN_NQ
-    while m <= n:
-        order.append(np.arange(n // m, n, 2 * n // m))
-        m *= 2
-    order = np.concatenate(order)
-    order.flags.writeable = False
-    return order
-
-
 @lru_cache(maxsize=32)
 def _node_geometry(contour):
     """The node data of the nested rules on a contour that depends on
     neither h nor z, built once per contour.
 
-    Returns the centered samples v = zeta - c in level order as a
-    read-only (n, 2) real array, d zeta / d theta in sample order, max |v|,
-    and for each rule m = n/2, n/4, ..., 128 the half chord chain
-    lambda_m: half the longest chain of sample-to-sample chords between
-    two consecutive nodes of the m-node rule.
+    Returns the centered samples v = zeta - c as a read-only (n, 2) real
+    array, d zeta / d theta, max |v| and max |d zeta / d theta|, all over
+    the samples in their own order.
     """
-    n = contour.n_samples
     v = contour.points() - contour.map_spec.center
-    xy = v[_level_order(n)].view(float).reshape(n, 2)
+    xy = v.view(float).reshape(-1, 2)
     dz = contour.dpoints()
-    # chain[k]: the chords from node k to node k + 1 of the m-node rule,
-    # for m = n the single chord from sample k to sample k + 1
-    chain = np.abs(np.diff(v, append=v[:1]))
-    lam = []
-    while chain.size > 2 * _MIN_NQ:
-        chain = chain[0::2] + chain[1::2]
-        lam.append(0.5 * chain.max())
     xy.flags.writeable = False
     dz.flags.writeable = False
-    return xy, dz, float(np.max(np.abs(v))), tuple(lam)
+    return xy, dz, float(np.max(np.abs(v))), float(np.max(np.abs(dz)))
 
 
-def _nested_rules(xy, dz, lam, h_samples, d_min):
+def _nested_rules(xy, dz, dz_max, h_samples, d_min):
     """The weights of the nested rules for one call.
 
-    Returns the weights w = h dzeta in level order, the weight rows
-    Re w, Im w, Re w conj(v), Im w conj(v) as an (n, 4) array, the first
-    64 of them as a (64, 8) array whose two column blocks give the two
-    32-node halves of the 64-node rule, and per rule (lo, hi, bound,
-    reach2, rated): the m = hi node rule adds nodes lo..hi-1 of the level
-    order.  For 64 < m < n, bound = ALIAS_TOL sum_used |w_k| and
-    reach2 = (d_min + lambda_m)^2 are its stop thresholds and rated says
+    Returns the weights w = h dzeta, the weight rows Re w, Im w,
+    Re w conj(v), Im w conj(v) as an (n, 4) array, the rows of the 64-node
+    rule as a (64, 8) array whose two column blocks hold its even and its
+    odd nodes (the two 32-node halves), and per rule (m, nodes, bound,
+    reach2, rated): the m-node rule adds the samples `nodes`, its odd ones,
+    to the rule before it.  For m > 64, bound = ALIAS_TOL sum_used |w_k|
+    and reach2 = (d_min + lambda_m)^2, lambda_m = pi max |dzeta/dtheta| / m,
+    are its stop thresholds (unread at the cap m = n), and rated says
     whether the spectrum of w is resolved at m/4, so that test 2 may take
-    a rate from I_{m/4} (see cauchy_eval); the first rule and the full one
-    have None.
+    a rate from I_{m/4} (see cauchy_eval); the first rule has None.
     """
     n = dz.size
     w = h_samples * dz
@@ -140,24 +116,24 @@ def _nested_rules(xy, dz, lam, h_samples, d_min):
     mag = np.abs(np.fft.fft(w))
     band = np.maximum(mag[1 : n // 2 + 1], mag[: n // 2 - 1 : -1])
     band = np.maximum.accumulate(band[::-1])[::-1]
-    w = w[_level_order(n)]
     rows = np.stack([w, w * xy.view(complex).ravel().conj()], axis=1).view(float)
-    half = _MIN_NQ // 2
+    s = n // _MIN_NQ
     first = np.zeros((_MIN_NQ, 8))
-    first[:half, :4] = rows[:half]
-    first[half:, 4:] = rows[half:_MIN_NQ]
-    wsum = np.cumsum(np.abs(w))
+    first[0::2, :4] = rows[0 :: 2 * s]
+    first[1::2, 4:] = rows[s :: 2 * s]
+    absw = np.abs(w)
     # w is resolved at k where n |w^(k')| <= ALIAS_TOL^2 sqrt(n) sum |w_k|
     # for all |k'| >= k
-    resolved = ALIAS_TOL ** 2 * np.sqrt(n) * wsum[-1]
-    rules = [(0, _MIN_NQ, None, None, None)]
+    resolved = ALIAS_TOL ** 2 * np.sqrt(n) * absw.sum()
+    rules = [(_MIN_NQ, slice(0, n, s), None, None, None)]
+    used = absw[0 :: s].sum()
     m = 2 * _MIN_NQ
-    for lam_m in reversed(lam):
-        rules.append((m // 2, m, ALIAS_TOL * wsum[m - 1], (d_min + lam_m) ** 2,
+    while m <= n:
+        nodes = slice(n // m, n, 2 * n // m)
+        used += absw[nodes].sum()
+        rules.append((m, nodes, ALIAS_TOL * used, (d_min + np.pi * dz_max / m) ** 2,
                       band[m // 4 - 1] <= resolved))
         m *= 2
-    if n > _MIN_NQ:
-        rules.append((n // 2, n, None, None, None))
     return w, rows, first, rules
 
 
@@ -193,11 +169,12 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     m = 32, 64, ..., N.  Per block of up to 4096 points the 64-node rule
     sums every point, with one cdist pass, one in-place reciprocal and one
     real product that gives I_32 and I_64 together; each later rule adds
-    only its m/2 new nodes, and only for the points still open.  The node
-    data that depends on neither h nor z (the samples in level order,
-    d zeta / d theta and the chord chains) is built once per contour, the
-    weights and their spectrum once per call.  With r the distance from
-    the point to its nearest used node, a point stops at 64 < m < N when
+    only its m/2 new nodes, the odd ones of its stride, and only for the
+    points still open.  The node data that depends on neither h nor z (the
+    centered samples, d zeta / d theta and its maximum) is built once per
+    contour, the weights and their spectrum once per call.  With r the
+    distance from the point to its nearest used node, a point stops at
+    64 < m < N when
 
       1. |I_m - I_{m/2}| <= ALIAS_TOL (sum_used |w_k|) / (m r): the rule
          has converged on the scale of the sum's terms;
@@ -208,10 +185,10 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
          |k| >= m/4 exceeds ALIAS_TOL^2 sqrt(N) of their mean modulus,
          about the full rule's own rounding.  Elsewhere q = 1, and the
          difference itself must be that small;
-      3. r >= d_min + lambda_m, where lambda_m is half the longest chain of
-         sample-to-sample chords between two consecutive used nodes: every
-         unused sample then lies within lambda_m of a used node, so none
-         lies within d_min of the point and the full rule would not raise.
+      3. r >= d_min + lambda_m, lambda_m = pi max |d zeta / d theta| / m:
+         an unused sample lies on the arc between two used nodes, at most
+         2 lambda_m long, so within lambda_m of one of them; none lies
+         within d_min of the point and the full rule would not raise.
 
     The error of I_m is a sum of geometric parts: one from the point, of
     amplitude about |h(z)|, and those from the singularities of h.  Where
@@ -242,11 +219,11 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     n = contour.n_samples
     if h_samples.shape != (n,):
         raise ValueError("h_samples must match the contour sampling")
-    xy, dz, vmax, lam = _node_geometry(contour)
+    xy, dz, vmax, dz_max = _node_geometry(contour)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.full_like(z_arr, np.nan)
     u = z_arr - contour.map_spec.center
-    w, rows, first, rules = _nested_rules(xy, dz, lam, h_samples, d_min)
+    w, rows, first, rules = _nested_rules(xy, dz, dz_max, h_samples, d_min)
     # NaN points stay NaN and never reach the matrix
     live = ~np.isnan(u)
     far = live & (np.abs(u) >= 2.0 ** 54 * vmax)
@@ -260,21 +237,21 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
         idx = near[start : start + block]
         ub = u[idx]
         r2 = np.full(idx.size, np.inf)
-        for lo, hi, bound, reach2, rated in rules:
-            s = cdist(ub.view(float).reshape(-1, 2), xy[lo:hi], "sqeuclidean")
+        for m, nodes, bound, reach2, rated in rules:
+            s = cdist(ub.view(float).reshape(-1, 2), xy[nodes], "sqeuclidean")
             np.minimum(r2, s.min(axis=1), out=r2)
             if not r2.min() >= d_min * d_min:
                 raise _too_close(z_arr[idx], ub, contour, d_min)
             np.reciprocal(s, out=s)
-            if lo:
-                a, b = (s @ rows[lo:hi]).view(complex).T
+            if m > _MIN_NQ:
+                a, b = (s @ rows[nodes]).view(complex).T
                 part = ub.conj() * a - b
             else:
                 # S_32 and the 32 nodes that make it S_64
                 a, b, a_odd, b_odd = (s @ first).view(complex).T
                 total = ub.conj() * a - b
                 part = ub.conj() * a_odd - b_odd
-            if hi == n:
+            if m == n:
                 out[idx] = total + part
                 break
             # |S_m - 2 S_{m/2}| = m |I_m - I_{m/2}|
@@ -291,7 +268,7 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
                     & (gap_r * gap2 <= ALIAS_TOL * bound * ref2))
             last2 = gap2
             if done.any():
-                out[idx[done]] = total[done] * (n // hi)
+                out[idx[done]] = total[done] * (n // m)
                 keep = ~done
                 idx, ub, r2, total, last2 = idx[keep], ub[keep], r2[keep], total[keep], last2[keep]
                 if not idx.size:

@@ -122,6 +122,18 @@ def test_config_without_maps_is_input_error(cfg_file):
     assert rc == 2
 
 
+@pytest.mark.parametrize("field", ["ext_margin", "separation"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["grunsky"], ["decompose", "--function=-2,0.1,1,1,0"],
+], ids=["validate", "grunsky", "decompose"])
+def test_non_finite_margin_is_input_error(cfg_file, capsys, field, argv):
+    # JSON Infinity parses to a float; neither margin may be infinite
+    rc = main(argv[:1] + ["--config", cfg_file(dict(TWO_DISKS, **{field: float("inf")}))]
+              + argv[1:])
+    assert rc == 2
+    assert capsys.readouterr().err == "input error: %s must be positive and finite\n" % field
+
+
 def test_trunc_out_of_range_is_input_error(cfg_file):
     rc = main(["grunsky", "--config", cfg_file(TWO_DISKS), "--trunc", "0"])
     assert rc == 2

@@ -8,10 +8,12 @@ import pytest
 
 from faberkit import (
     AliasWarning,
+    ConformalMapSpec,
+    MultiDomainConfig,
     dirichlet_norm,
+    pullback_boundary,
     sample_to_coeffs,
 )
-from faberkit.coeffs import reuse_on_doubling
 from faberkit.pseries import torus_coeffs
 
 
@@ -57,7 +59,7 @@ def test_sample_to_coeffs_stops_on_non_finite_samples():
 def test_sample_to_coeffs_doubles_past_1024_at_large_trunc():
     # at T = 128 the extractor starts at N = 1024; a pole at 1.04 leaves
     # 2.8e-7 in the fold band there against a peak of 0.96, and about
-    # 1.04^{-768} at N = 2048
+    # 1.04^{-768} at N = 2048; the doubling samples only the new nodes
     sizes = []
 
     def samples(w):
@@ -67,14 +69,15 @@ def test_sample_to_coeffs_doubles_past_1024_at_large_trunc():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasWarning)
         neg, pos = sample_to_coeffs(samples, 128)
-    assert sizes == [1024, 2048]
+    assert np.cumsum(sizes).tolist() == [1024, 2048]
     n = np.arange(1, 129)
     np.testing.assert_allclose(pos, -(1.04 ** (-n - 1.0)), rtol=1e-12)
 
 
 def test_doubling_evaluates_each_node_once():
     # the doubling of the test above, 1024 -> 2048, evaluates 2048 samples,
-    # not 1024 + 2048, and gives the same coefficients bit for bit
+    # not 1024 + 2048, and gives the coefficients of one plain FFT of the
+    # 2048 samples bit for bit
     sizes = []
 
     def samples(w):
@@ -83,12 +86,32 @@ def test_doubling_evaluates_each_node_once():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasWarning)
-        neg, pos = sample_to_coeffs(reuse_on_doubling(samples), 128)
-        assert sizes == [1024, 1024]
-        ref_neg, ref_pos = sample_to_coeffs(samples, 128)
-    assert sizes[2:] == [1024, 2048]
-    np.testing.assert_array_equal(neg, ref_neg)
-    np.testing.assert_array_equal(pos, ref_pos)
+        neg, pos = sample_to_coeffs(samples, 128)
+    assert sizes == [1024, 1024]
+    n = 2048
+    spec = np.fft.fft(samples(np.exp(2j * np.pi * np.arange(n) / n)), axis=0) / n
+    ns = np.arange(1, 129)
+    np.testing.assert_array_equal(neg, spec[n - ns])
+    np.testing.assert_array_equal(pos, spec[ns])
+
+
+def test_pullback_boundary_doubling_evaluates_h_once_per_node():
+    # h o f = 1/(w - 0.9) on the unit disk at 0: a_{-m} = 0.9^{m-1}, whose
+    # fold band needs N = 512 at T = 8; h sees each of the 512 nodes once
+    config = MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=(1.0,)),))
+    sizes = []
+
+    def h(z):
+        sizes.append(z.size)
+        return 1.0 / (z - 0.9)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        neg, pos = pullback_boundary(config, 0, h, 8)
+    assert np.cumsum(sizes).tolist() == [128, 256, 512]
+    m = np.arange(1, 9)
+    np.testing.assert_allclose(neg, 0.9 ** (m - 1.0), rtol=1e-14)
+    np.testing.assert_allclose(pos, 0, atol=1e-15)
 
 
 # a slowly decaying sampler (its alias band never clears) and a sampler
@@ -119,7 +142,8 @@ def test_extractors_share_sizing_policy(name, trunc, sizes):
 
         with pytest.warns(AliasWarning, match=match) as record, np.errstate(all="ignore"):
             extract(samples, trunc)
-        assert seen == expect
+        # the circle evaluates only the new nodes of each doubling
+        assert (np.cumsum(seen).tolist() if name == "circle" else seen) == expect
         assert len(record) == 1
 
 
@@ -145,7 +169,7 @@ def test_sample_to_coeffs_sizes_by_folded_alias():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasWarning)
         neg, pos = sample_to_coeffs(samples, 8)
-    assert seen == [128, 256]
+    assert np.cumsum(seen).tolist() == [128, 256]
     m = np.arange(1, 9)
     np.testing.assert_allclose(neg, (m == 1) + res * rho ** (m - 1.0), rtol=0, atol=1e-15)
     np.testing.assert_allclose(pos, 0, atol=1e-15)
@@ -163,5 +187,5 @@ def test_sample_to_coeffs_warns_on_folded_alias():
 
     with pytest.warns(AliasWarning, match="folded alias estimate") as record:
         sample_to_coeffs(samples, 8)
-    assert seen == [128, 256, 512, 1024]
+    assert np.cumsum(seen).tolist() == [128, 256, 512, 1024]
     assert len(record) == 1

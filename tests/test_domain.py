@@ -36,6 +36,14 @@ def test_zero_leading_coefficient_rejected():
         ConformalMapSpec(center=0.0, coeffs=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("field", ["ext_margin", "separation"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+def test_config_margins_must_be_positive_and_finite(field, value):
+    spec = ConformalMapSpec(center=0.0, coeffs=(1.0,))
+    with pytest.raises(ValueError, match="%s must be positive and finite" % field):
+        MultiDomainConfig(maps=(spec,), **{field: value})
+
+
 def test_curve_samples_on_circle_image():
     spec = ConformalMapSpec(center=2.0, coeffs=(0.8,))
     pts = curve_samples(spec, 1.0, 64)

@@ -63,6 +63,12 @@ def test_cauchy_eval_too_close():
         cauchy_eval(c, c.points(), np.array([1.0 + 1e-4]), d_min=0.05)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+def test_contour_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), radius)
+
+
 @pytest.mark.parametrize("d_min", [0.0, -0.05])
 def test_cauchy_eval_refuses_non_positive_d_min(d_min):
     c = unit_circle()
@@ -192,6 +198,25 @@ def test_cauchy_eval_slow_convergence_keeps_full_rule_accuracy():
     dist = np.linspace(0.055, 0.1, 10)
     z = (-(1 + dist[:, None]) * np.exp(1j * np.linspace(-0.5, 0.5, 41))).ravel()
     np.testing.assert_allclose(cauchy_eval(c, h, z), dense_cauchy(c, h, z), rtol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(contour_problems())
+def test_nested_rule_reach_covers_every_sample(problem):
+    # test 3 stops a point at the m-node rule only where it lies
+    # d_min + lambda_m from the rule's nodes; that keeps it d_min from every
+    # sample only if each sample lies within lambda_m of one of those nodes
+    contour, _, _ = problem
+    n, d_min = contour.n_samples, 0.05
+    xy, dz, _, dz_max = quadrature._node_geometry(contour)
+    rules = quadrature._nested_rules(xy, dz, dz_max, np.ones(n), d_min)[3]
+    zeta = contour.points()
+    reached = [(m, reach2) for m, _, _, reach2, _ in rules if 64 < m < n]
+    assert [m for m, _ in reached] == [m for m in (128, 256, 512) if m < n]
+    for m, reach2 in reached:
+        nodes = zeta[:: n // m]
+        nearest = np.min(np.abs(zeta[:, None] - nodes[None, :]), axis=1)
+        assert np.max(nearest) <= math.sqrt(reach2) - d_min
 
 
 def _too_close_message(zeta, z, d_min):
