@@ -36,7 +36,6 @@ from .grunsky import (
     diagonal_block_series,
     faber_pullback_block,
     norm_history,
-    offdiagonal_block_series,
     operator_norm,
     orthonormal_from_monomial,
     read_matrix,

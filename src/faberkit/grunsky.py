@@ -6,7 +6,7 @@ pullback of the i-th Faber function through the j-th map:
     Gr_{ji}(z^{-m}) = positive part of [ Phi^i_m o f_j - const ],
 
 with monomial entries b_nm defined by Gr_{ji}(z^{-m}) = sum_n b_nm z^n.
-Two independent routes compute the same blocks:
+One route computes the blocks and two independent ones check them:
 
 * definitional: sample Phi^i_m o f_j on the unit circle |w| = 1 and read
   the coefficients off an FFT (coeffs.sample_to_coeffs, which sizes it
@@ -20,23 +20,27 @@ Two independent routes compute the same blocks:
   the residual of that identity is recorded on every call and is the
   cheapest global health check of the pipeline.
 
-* kernel series: every entry is a Taylor coefficient of a kernel analytic
-  on the closed bidisk.  On the diagonal, with the divided difference
+* kernel series: every entry of a diagonal block is a Taylor coefficient
+  of a kernel analytic on the closed bidisk.  With the divided difference
   Q(zeta, z) = (f(zeta) - f(z))/(zeta - z),
 
       b_nm = [zeta^{m-1} z^n] (-d_zeta Q / Q)
 
   (the Grunsky coefficients are those of log Q, Pommerenke 1975); it
-  vanishes identically for affine maps.  Off the diagonal, with the
-  cross kernel
-
-      K_ji(zeta, z) = f_i'(zeta)/(f_i(zeta) - f_j(z)) - f_i'(zeta)/(f_i(zeta) - f_j(0)),
-
-  b_nm = -[zeta^{m-1} z^n] K_ji.  Either kernel is sampled on the unit
+  vanishes identically for affine maps.  The kernel is sampled on the unit
   torus and its coefficients read off one 2-d FFT.
 
-assemble cross-checks every block by both routes unless asked for the
-definitional route alone.
+* symmetry: off the diagonal, b_nm = -[zeta^{m-1} z^n] of the cross kernel
+  f_i'(zeta)/(f_i(zeta) - f_j(z)) - f_i'(zeta)/(f_i(zeta) - f_j(0)), a
+  zeta-derivative of log(f_i(zeta) - f_j(z)) as the diagonal kernel is one
+  of log Q.  So G_nm = -sqrt(nm) [zeta^m z^n] log(f_i(zeta) - f_j(z)), and
+  block (j, i) is the transpose of block (i, j): the operator is
+  complex-symmetric, G = G^T (Grunsky's symmetry for several boundaries).
+  The two blocks sample different maps through different Faber
+  functions, so each checks the other's sampling and FFT.
+
+assemble checks every off-diagonal pair by symmetry, and every diagonal
+block by the kernel series unless asked for the definitional route alone.
 
 Entries in the orthonormal bases {z^{-m}/sqrt(pi m)}, {z^n/sqrt(pi n)}
 are G_nm = sqrt(n/m) b_nm; operator norms are singular values of the
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 from . import pseries
 from .coeffs import sample_to_coeffs
 from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.py
-from .domain import evaluate_map, map_derivative
+from .domain import evaluate_map
 from .errors import MethodDisagreement
 from .faber import faber_values
 from .textfmt import format_g17, parse_g17
@@ -101,23 +105,6 @@ def diagonal_block_series(spec, trunc):
     return pseries.torus_coeffs(kernel, trunc).T
 
 
-def offdiagonal_block_series(config, j, i, trunc):
-    """Monomial off-diagonal block b[n-1, m-1] = -[zeta^{m-1} z^n] K_ji."""
-    if i == j:
-        raise ValueError("cross kernel applies to off-diagonal blocks only")
-    spec_i = config.maps[i]
-    spec_j = config.maps[j]
-
-    def kernel(w):
-        fi = evaluate_map(spec_i, w)
-        fpi = map_derivative(spec_i, w)
-        fj = evaluate_map(spec_j, w)
-        return fpi[:, None] / (fi[:, None] - fj[None, :]) \
-            - (fpi / (fi - spec_j.center))[:, None]
-
-    return -pseries.torus_coeffs(kernel, trunc).T
-
-
 def orthonormal_from_monomial(b):
     """Rescale monomial entries to the orthonormal bases: G_nm = sqrt(n/m) b_nm."""
     n_idx = np.arange(1, b.shape[0] + 1, dtype=float)
@@ -125,8 +112,10 @@ def orthonormal_from_monomial(b):
     return np.sqrt(n_idx[:, None] / m_idx[None, :]) * b
 
 
-def _method_tag(gap):
-    """The routes behind a block with cross-method gap `gap` (nan: one route)."""
+def _method_tag(j, i, gap):
+    """The routes behind block (j, i) with cross-check gap `gap` (nan: one route)."""
+    if j != i:
+        return "definitional+symmetry"
     return "definitional" if np.isnan(gap) else "definitional+kernel-series"
 
 
@@ -135,8 +124,9 @@ class GrunskyMatrix:
     """Assembled block operator in orthonormal bases.
 
     blocks[j, i] (also blocks[j][i]) is the (j, i) block, of shape
-    (trunc, trunc); agreement[j, i] is its cross-method gap, nan when only
-    the definitional route ran.  identity_defect is the worst
+    (trunc, trunc); agreement[j, i] is its cross-check gap: max|G_ji - G_ij^T|
+    off the diagonal, the kernel-series gap on it, nan when only the
+    definitional route ran there.  identity_defect is the worst
     negative-frequency recovery error seen while building the blocks.
     """
 
@@ -155,7 +145,8 @@ class GrunskyMatrix:
     @property
     def method_tags(self):
         """method_tags[j][i] names the routes that built block (j, i)."""
-        return [[_method_tag(gap) for gap in row] for row in self.agreement]
+        return [[_method_tag(j, i, gap) for i, gap in enumerate(row)]
+                for j, row in enumerate(self.agreement)]
 
     def full_matrix(self, trunc=None):
         """The stacked (n t) x (n t) matrix of the leading t x t blocks, a new array."""
@@ -172,10 +163,12 @@ class GrunskyMatrix:
 
 
 def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
-    """Build all blocks, cross-checking methods per the policy.
+    """Build all blocks, cross-checking them per the policy.
 
-    policy "dual" cross-checks every block against the kernel series;
-    "definitional" runs only the sampling route.  A cross-method gap above
+    Every off-diagonal pair is checked by symmetry under either policy: its
+    gap max|G_ji - G_ij^T| is the agreement of both blocks.  policy "dual"
+    also checks every diagonal block against the kernel series;
+    "definitional" runs only the sampling route there.  A gap above
     method_tol, or an identity-recovery defect above it, raises
     MethodDisagreement; so does a gap or defect that is not finite.
     """
@@ -188,15 +181,20 @@ def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
     for j, i in itertools.product(range(n), repeat=2):
         b, defect = faber_pullback_block(config, j, i, trunc)
         worst_defect = np.maximum(worst_defect, defect)  # keeps a NaN
-        if policy == "dual":
-            alt = (diagonal_block_series(config.maps[i], trunc) if i == j
-                   else offdiagonal_block_series(config, j, i, trunc))
-            agreement[j, i] = np.max(np.abs(b - alt))
-            if not agreement[j, i] <= method_tol:
+        if policy == "dual" and i == j:
+            agreement[j, j] = np.max(np.abs(b - diagonal_block_series(config.maps[j], trunc)))
+            if not agreement[j, j] <= method_tol:
                 raise MethodDisagreement(
-                    "block (%d, %d): methods differ by %.3g" % (j, i, agreement[j, i])
+                    "block (%d, %d): methods differ by %.3g" % (j, j, agreement[j, j])
                 )
         blocks[j, i] = orthonormal_from_monomial(b)
+    for j, i in itertools.combinations(range(n), 2):
+        agreement[j, i] = agreement[i, j] = np.max(np.abs(blocks[i, j] - blocks[j, i].T))
+        if not agreement[j, i] <= method_tol:
+            raise MethodDisagreement(
+                "blocks (%d, %d) and (%d, %d) are not transposes: they differ by %.3g"
+                % (j, i, i, j, agreement[j, i])
+            )
     if not worst_defect <= method_tol:
         raise MethodDisagreement(
             "identity recovery defect %.3g above %.3g" % (worst_defect, method_tol)
@@ -249,7 +247,7 @@ def write_matrix(gr, fileobj, sigma_history=None):
         gap = gr.agreement[j, i]
         gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
         fileobj.write("block %d %d method=%s agreement=%s\n"
-                      % (j, i, _method_tag(gap), gap_txt))
+                      % (j, i, _method_tag(j, i, gap), gap_txt))
         block = np.ascontiguousarray(gr.blocks[j, i], dtype=complex).view(float)
         for start in range(0, block.shape[0], rows_per_chunk):
             text = format_g17(block[start:start + rows_per_chunk], seps)
@@ -276,7 +274,7 @@ def _block_header(line, n):
         raise ValueError("malformed block header: %s" % line.strip()) from None
     if not (0 <= j < n and 0 <= i < n):
         raise ValueError("block %d %d is out of range for n = %d" % (j, i, n))
-    if meta.get("method") != _method_tag(gap):
+    if meta.get("method") != _method_tag(j, i, gap):
         raise ValueError("block %d %d: method=%s does not match agreement=%s"
                          % (j, i, meta.get("method"), meta.get("agreement")))
     return j, i, gap

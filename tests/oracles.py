@@ -6,7 +6,11 @@ grid.  Neither shares an identity with the routes faberkit uses, which is
 what makes them references; faberkit itself calls neither.
 faber_coefficients_by_components reads the Faber coefficients of h off
 its region components, one boundary at a time, where faberkit reads them
-off h itself.  write_matrix_by_percent writes the grunsky_matrix export
+off h itself.  offdiagonal_block_series reads an off-diagonal Grunsky
+block off the Taylor coefficients of its cross kernel on the unit torus,
+where faberkit samples Faber functions on the circle and checks the block
+against its transpose.  two_disk_modulus is the exact Grunsky norm of
+two disks.  write_matrix_by_percent writes the grunsky_matrix export
 with one '%.17g' per entry, where faberkit formats whole arrays at once.
 """
 
@@ -25,6 +29,7 @@ from faberkit import (
     operator_norm,
     pullback_boundary,
 )
+from faberkit.pseries import torus_coeffs
 
 
 def faber_oracle(spec, m, z):
@@ -161,6 +166,39 @@ def dirichlet_norm_sigma_area(config, h, n_cells=2048):
             vals[m] = g(flat[m])
             total += float(np.sum(vals)) * cell_area
     return total
+
+
+def offdiagonal_block_series(config, j, i, trunc):
+    """Monomial off-diagonal block b[n-1, m-1] = -[zeta^{m-1} z^n] K_ji.
+
+    K_ji(zeta, z) = f_i'(zeta)/(f_i(zeta) - f_j(z)) - f_i'(zeta)/(f_i(zeta) - f_j(0))
+    is analytic on the closed bidisk; its coefficients come off one 2-d FFT
+    on the unit torus, whose N grows like 1/gap between the two curves.
+    """
+    if i == j:
+        raise ValueError("cross kernel applies to off-diagonal blocks only")
+    spec_i = config.maps[i]
+    spec_j = config.maps[j]
+
+    def kernel(w):
+        fi = evaluate_map(spec_i, w)
+        fpi = map_derivative(spec_i, w)
+        fj = evaluate_map(spec_j, w)
+        return fpi[:, None] / (fi[:, None] - fj[None, :]) \
+            - (fpi / (fi - spec_j.center))[:, None]
+
+    return -torus_coeffs(kernel, trunc).T
+
+
+def two_disk_modulus(r1, r2, d):
+    """rho of the annulus rho < |z| < 1 conformally equivalent to the exterior of two disks.
+
+    Disks of radii r1, r2 at center distance d > r1 + r2: a Moebius map
+    takes their exterior to that annulus, whose Grunsky operator is
+    diagonal with entries rho^k, each twice.  So sigma_max = rho, and the
+    singular values are rho, rho, rho^2, rho^2, ...
+    """
+    return math.exp(-math.acosh((d * d - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)))
 
 
 def write_matrix_by_percent(gr, fileobj, sigma_history=None):

@@ -186,7 +186,8 @@ def test_criterion_08_series_termination_and_rate(config_a):
 
 
 def test_criterion_09_cross_method_agreement(configs):
-    # sampling, kernel-series and area routes agree block by block
+    # diagonal blocks agree with their kernel series, off-diagonal pairs
+    # with each other's transpose
     worst = 0.0
     for cfg in configs.values():
         gr = assemble(cfg, 16, policy="dual")

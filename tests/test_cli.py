@@ -44,6 +44,16 @@ NESTED = {
 }
 
 
+# unit disks 0.003 apart, with the ext_margin that lets them validate
+NEAR_CONTACT = {
+    "maps": [
+        {"center": [-1.0015, 0.0], "coeffs": [[1.0, 0.0]]},
+        {"center": [1.0015, 0.0], "coeffs": [[1.0, 0.0]]},
+    ],
+    "ext_margin": 0.00075,
+}
+
+
 @pytest.fixture
 def cfg_file(tmp_path):
     def write(payload, name="config.json"):
@@ -189,7 +199,26 @@ def test_grunsky_checks_every_block_by_default(cfg_file, tmp_path):
     with open(out / "grunsky_matrix.txt") as fh:
         gr = read_matrix(fh)
     assert np.all(np.isfinite(gr.agreement))
-    assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series"}
+    assert gr.method_tags == [["definitional+kernel-series", "definitional+symmetry"],
+                              ["definitional+symmetry", "definitional+kernel-series"]]
+
+
+@pytest.mark.parametrize("trunc", [16, 128])
+def test_grunsky_near_contact_exits_0_quietly(cfg_file, tmp_path, capsys, trunc):
+    # the off-diagonal torus route needed N ~ 1/gap per axis here: it hit its
+    # cap (aliasing floor 6.6e-4) and the run exited 1, "methods differ by
+    # 0.000422"; symmetry checks those blocks with no torus
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        rc = main(["grunsky", "--config", cfg_file(NEAR_CONTACT), "--trunc", str(trunc),
+                   "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in record] == []
+    with open(out / "grunsky_matrix.txt") as fh:
+        gr = read_matrix(fh)
+    assert np.all(gr.agreement <= 1e-14)
 
 
 @pytest.mark.parametrize("policy", ["dual", "definitional"])

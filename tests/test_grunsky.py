@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faberkit import (
     AliasWarning,
@@ -16,14 +17,17 @@ from faberkit import (
     apply_grunsky,
     assemble,
     diagonal_block_series,
+    evaluate_map,
     faber_pullback_block,
+    grunsky,
     norm_history,
-    offdiagonal_block_series,
     operator_norm,
     orthonormal_from_monomial,
     read_matrix,
+    validate_config,
     write_matrix,
 )
+from oracles import offdiagonal_block_series, two_disk_modulus
 
 
 def test_two_disk_closed_form_entries(config_a):
@@ -107,12 +111,15 @@ def test_pullback_block_alias_warning():
 
 
 CLOSE_MAPS = {
-    # disks 0.3 apart: the cross kernel's coefficients fall off like 1/1.3^n
+    # disks 0.3 apart: the off-diagonal coefficients fall off like 1/1.3^n
     "disks-1.15": ((-1.15, (1.0,)), (1.15, (1.0,))),
     # critical point at radius 1.11
     "quad-0.45": ((-3.0, (1.0, 0.45)), (3.0, (1.0,))),
-    # margin curves 0.003 apart: the unit torus lies close to the kernel's pole
+    # margin curves 0.003 apart
     "touching": ((-1.0515, (1.0,)), (1.0515, (1.0,))),
+    # disks 0.01 apart: the off-diagonal torus route hit its cap here and
+    # warned of an aliasing floor 1.3e-6
+    "gap-0.01": ((-1.005, (1.0,)), (1.005, (1.0,))),
 }
 
 
@@ -147,8 +154,8 @@ def test_assemble_dual_agreement(config_b):
     gr = assemble(config_b, 8, policy="dual")
     assert np.nanmax(gr.agreement) < 1e-10
     assert gr.identity_defect < 1e-10
-    tags = {tag for row in gr.method_tags for tag in row}
-    assert tags == {"definitional+kernel-series"}
+    assert gr.method_tags == [["definitional+kernel-series", "definitional+symmetry"],
+                              ["definitional+symmetry", "definitional+kernel-series"]]
 
 
 @pytest.mark.parametrize("name", ["config_b", "config_c"])
@@ -163,7 +170,8 @@ def test_default_assemble_checks_every_block(config_b, trunc):
     # the default policy cross-checks at every truncation, not only up to 24
     gr = assemble(config_b, trunc)
     assert np.all(np.isfinite(gr.agreement))
-    assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series"}
+    assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series",
+                                                              "definitional+symmetry"}
 
 
 def test_assemble_rejects_unknown_policy(config_a):
@@ -220,6 +228,155 @@ def test_stacked_matrix_is_symmetric(config_b, config_c):
     for cfg in (config_b, config_c):
         g = assemble(cfg, 10, policy="definitional").full_matrix()
         np.testing.assert_allclose(g, g.T, atol=1e-10)
+
+
+angle = st.floats(0.0, 2 * np.pi)
+
+
+@st.composite
+def admissible_configs(draw):
+    """2-4 maps of degree 1-4 with complex coefficients, admissible by construction.
+
+    sum_{k>=2} k |a_k| r^(k-1) < |a_1| at r = 1.1 keeps Re f'/a_1 > 0 on
+    |w| < 1.1, so each map is univalent there (Noshiro-Warschawski).  Map k
+    reaches at most R_k = sum |a_k| 1.05^k from its center on |w| <= 1.05,
+    and consecutive centers along a line sit R_k + R_{k+1} + 0.2 to 2 apart.
+    """
+    maps, position, reach = [], 0.0, None
+    direction = np.exp(1j * draw(angle))
+    for _ in range(draw(st.integers(2, 4))):
+        a1 = draw(st.floats(0.5, 1.5)) * np.exp(1j * draw(angle))
+        degree = draw(st.integers(1, 4))
+        shares = [draw(st.floats(0.1, 1.0)) for _ in range(2, degree + 1)]
+        budget = draw(st.floats(0.2, 0.95)) * abs(a1) / max(sum(shares), 1.0)
+        coeffs = [a1] + [budget * share / (k * 1.1 ** (k - 1)) * np.exp(1j * draw(angle))
+                         for k, share in enumerate(shares, start=2)]
+        new_reach = sum(abs(a) * 1.05 ** k for k, a in enumerate(coeffs, start=1))
+        if reach is not None:
+            position += reach + new_reach + draw(st.floats(0.2, 2.0))
+        reach = new_reach
+        maps.append(ConformalMapSpec(center=position * direction, coeffs=tuple(coeffs)))
+    return MultiDomainConfig(maps=tuple(maps))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=admissible_configs(), trunc=st.sampled_from([32, 128]))
+def test_assembled_operator_is_complex_symmetric(cfg, trunc):
+    # G = G^T: every block's entries are -sqrt(nm) [zeta^m z^n] of
+    # log(f_i(zeta) - f_j(z)) (log Q on the diagonal), symmetric in the two
+    # boundaries; measured at most 7.7e-16 over such configs
+    assert validate_config(cfg).passed
+    g = assemble(cfg, trunc, policy="definitional").full_matrix()
+    assert np.max(np.abs(g - g.T)) <= 1e-14
+
+
+@pytest.mark.parametrize("policy", ["dual", "definitional"])
+def test_symmetry_gap_is_the_agreement_of_both_offdiagonal_blocks(config_c, policy):
+    gr = assemble(config_c, 16, policy=policy)
+    for j in range(3):
+        for i in range(3):
+            if i != j:
+                gap = np.max(np.abs(gr.blocks[j, i] - gr.blocks[i, j].T))
+                assert gr.agreement[j, i] == gap
+                assert gr.method_tags[j][i] == "definitional+symmetry"
+    assert np.isnan(np.diag(gr.agreement)).all() == (policy == "definitional")
+
+
+# Each mutation below breaks off-diagonal blocks and must be caught by the
+# symmetry check, which names both blocks of a pair.
+A_PAIR = r"blocks \((\d), (\d)\) and \(\2, \1\)"
+
+
+@pytest.mark.parametrize("policy", ["dual", "definitional"])
+def test_symmetry_catches_a_transposed_weight(config_b, monkeypatch, policy):
+    # sqrt(m/n) in place of sqrt(n/m) scales G_ji by m/n and G_ij^T by n/m
+    def swapped(b):
+        n_idx = np.arange(1, b.shape[0] + 1, dtype=float)
+        return np.sqrt(n_idx[None, :] / n_idx[:, None]) * b
+
+    monkeypatch.setattr(grunsky, "orthonormal_from_monomial", swapped)
+    with pytest.raises(MethodDisagreement, match=A_PAIR):
+        assemble(config_b, 8, policy=policy, method_tol=1e-12)
+
+
+@pytest.mark.parametrize("policy", ["dual", "definitional"])
+def test_symmetry_catches_perturbed_offdiagonal_samples(config_c, monkeypatch, policy):
+    # f_j's samples scaled by 1 + 1e-10 inside the off-diagonal pullbacks
+    # only: the samples stay analytic, so the identity defect stays at
+    # rounding level (1e-15), while the symmetry gap rises to 6.3e-12
+    pullback = grunsky.faber_pullback_block
+
+    def perturbed(config, j, i, trunc, n_samples=None):
+        if i == j:
+            return pullback(config, j, i, trunc)
+        with monkeypatch.context() as patch:
+            patch.setattr(grunsky, "evaluate_map",
+                          lambda spec, w: evaluate_map(spec, w) * (1 + 1e-10))
+            return pullback(config, j, i, trunc)
+
+    monkeypatch.setattr(grunsky, "faber_pullback_block", perturbed)
+    with pytest.raises(MethodDisagreement, match=A_PAIR):
+        assemble(config_c, 8, policy=policy, method_tol=1e-12)
+
+
+@pytest.mark.parametrize("policy", ["dual", "definitional"])
+def test_symmetry_catches_an_extractor_pinned_too_small(config_b, monkeypatch, policy):
+    # block (0, 1) read off N = 2T + 2 samples, a plain FFT: its kept
+    # coefficients alias those of index N + n, a symmetry gap of 3.4e-10
+    pullback = grunsky.faber_pullback_block
+
+    def pinned_fft(fn, trunc):
+        n = 2 * trunc + 2
+        spec = np.fft.fft(fn(np.exp(2j * np.pi * np.arange(n) / n)), axis=0) / n
+        ns = np.arange(1, trunc + 1)
+        return spec[n - ns], spec[ns]
+
+    def pinned(config, j, i, trunc, n_samples=None):
+        if (j, i) != (0, 1):
+            return pullback(config, j, i, trunc)
+        with monkeypatch.context() as patch:
+            patch.setattr(grunsky, "sample_to_coeffs", pinned_fft)
+            return pullback(config, j, i, trunc)
+
+    monkeypatch.setattr(grunsky, "faber_pullback_block", pinned)
+    with pytest.raises(MethodDisagreement, match=A_PAIR):
+        assemble(config_b, 8, policy=policy, method_tol=1e-12)
+
+
+def _two_disks(r1, r2, gap):
+    """Disks of radii r1, r2 whose edges are `gap` apart, on a tilted line."""
+    d = r1 + r2 + gap
+    return MultiDomainConfig(maps=(ConformalMapSpec(center=0.3, coeffs=(r1,)),
+                                   ConformalMapSpec(center=0.3 + d * np.exp(0.7j),
+                                                    coeffs=(r2,))),
+                             ext_margin=min(0.05, gap / (4 * max(r1, r2)))), d
+
+
+@pytest.mark.parametrize("r1, r2, gap", [
+    (1.0, 1.0, 0.01), (1.0, 0.5, 0.01), (1.0, 1.0, 0.03), (1.0, 0.25, 0.05),
+    (1.0, 0.5, 0.1), (1.0, 1.0, 0.3), (0.7, 1.3, 1.0), (1.0, 1.0, 5.0)])
+def test_two_disk_spectrum_is_exact(r1, r2, gap):
+    # the exterior of two disks is Moebius-equivalent to an annulus
+    # rho < |z| < 1, whose Grunsky operator is diagonal with entries rho^k,
+    # each twice; from gap 0.03 on, T = 256 resolves the first six pairs
+    cfg, d = _two_disks(r1, r2, gap)
+    rho = two_disk_modulus(r1, r2, d)
+    sigma = np.linalg.svd(assemble(cfg, 256, policy="definitional").full_matrix(),
+                          compute_uv=False)
+    assert abs(sigma[0] - rho) <= 1e-14
+    if gap >= 0.03:
+        pairs = np.repeat(rho ** np.arange(1, 7), 2)
+        assert np.max(np.abs(sigma[:12] - pairs)) <= 1e-14
+
+
+def test_two_disk_norm_converges_near_contact():
+    # unit disks 0.003 apart, rho = 0.8962545: sigma_T - rho is -1.8e-3,
+    # -5.3e-6 and -1.2e-11 at T = 64, 128 and 256
+    cfg, d = _two_disks(1.0, 1.0, 0.003)
+    rho = two_disk_modulus(1.0, 1.0, d)
+    hist = norm_history(assemble(cfg, 256), (64, 128, 256))
+    assert hist[64] < hist[128] < hist[256] <= rho + 1e-14
+    assert abs(hist[256] - rho) <= 1e-10
 
 
 def test_orthonormal_rescale():
@@ -315,16 +472,30 @@ def test_read_matrix_refuses_short_row(config_b):
 
 
 @pytest.mark.parametrize("policy, swap", [
-    ("dual", ("method=definitional+kernel-series", "method=definitional")),
-    ("definitional", ("method=definitional", "method=definitional+kernel-series")),
+    ("dual", ("method=definitional+symmetry", "method=definitional+kernel-series")),
+    ("definitional", ("method=definitional+symmetry", "method=definitional")),
 ])
 def test_read_matrix_refuses_method_agreement_mismatch(config_b, policy, swap):
-    # method= is implied by agreement= (nan: one route); a file where they
-    # disagree is refused
+    # an off-diagonal block is always checked by symmetry; a file that tags
+    # it otherwise is refused
     lines = _export_lines(assemble(config_b, 4, policy=policy))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
     lines[start] = lines[start].replace(*swap)
     with pytest.raises(ValueError, match="block 1 0"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+@pytest.mark.parametrize("policy, swap", [
+    ("dual", ("method=definitional+kernel-series", "method=definitional")),
+    ("dual", ("method=definitional+kernel-series", "method=definitional+symmetry")),
+    ("definitional", ("method=definitional", "method=definitional+kernel-series")),
+])
+def test_read_matrix_refuses_diagonal_tag_mismatch(config_b, policy, swap):
+    # on the diagonal method= is implied by agreement= (nan: one route)
+    lines = _export_lines(assemble(config_b, 4, policy=policy))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
+    lines[start] = lines[start].replace(*swap)
+    with pytest.raises(ValueError, match="block 1 1"):
         read_matrix(io.StringIO("".join(lines)))
 
 
