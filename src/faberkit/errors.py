@@ -18,11 +18,9 @@ class PoleOutsideRegions(FaberkitError):
 
 
 class AliasWarning(UserWarning):
-    """An FFT coefficient extraction cannot be trusted: its samples are not
-    finite (a pole on the sampling circle or torus), or its alias band still
-    holds more than ALIAS_TOL of the spectral peak at the cap
-    max(1024, 4 * start).  Circle and torus share that one sizing loop
-    (coeffs._extract); the band is the fold band around Nyquist,
-    N/2 +- N/8, on the circle and the top eighth of each axis on the torus.
-    On the circle it is also issued where the band floor, carried down the
-    band's own decay, still aliases more than FOLD_TOL of the peak."""
+    """A coefficient extraction on the unit circle (coeffs.sample_to_coeffs)
+    cannot be trusted: its samples are not finite (a pole on the circle), or
+    at the cap max(1024, 4 * start) its fold band around Nyquist,
+    N/2 +- N/8, still holds more than ALIAS_TOL of the spectral peak, or
+    the band floor, carried down the band's own decay, still aliases more
+    than FOLD_TOL of the peak into the kept coefficients."""

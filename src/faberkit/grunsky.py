@@ -27,8 +27,11 @@ One route computes the blocks and two independent ones check them:
       b_nm = [zeta^{m-1} z^n] (-d_zeta Q / Q)
 
   (the Grunsky coefficients are those of log Q, Pommerenke 1975); it
-  vanishes identically for affine maps.  The kernel is sampled on the unit
-  torus and its coefficients read off one 2-d FFT.
+  vanishes identically for affine maps.  For each zeta on the unit circle
+  the z-series of the kernel comes from a division of power series in z;
+  its zeta-coefficients are read off the same circle extractor.  It shares
+  only that extractor with the definitional route: the math differs (log Q
+  against the Faber recurrence).
 
 * symmetry: off the diagonal, b_nm = -[zeta^{m-1} z^n] of the cross kernel
   f_i'(zeta)/(f_i(zeta) - f_j(z)) - f_i'(zeta)/(f_i(zeta) - f_j(0)), a
@@ -88,21 +91,30 @@ def faber_pullback_block(config, j, i, trunc, n_samples=None):
 def diagonal_block_series(spec, trunc):
     """Monomial diagonal block b[n-1, m-1] = [zeta^{m-1} z^n](-d_zeta Q / Q).
 
-    Q[u, v] = a_{u+v+1} are the coefficients of the divided difference;
-    Q and d_zeta Q are evaluated from them, so nothing cancels at zeta = z.
+    For each zeta on the unit circle Q(zeta, z) = sum_{v<d} q_v(zeta) z^v,
+    q_v(zeta) = sum_u a_{u+v+1} zeta^u (so nothing cancels at zeta = z), and
+    the z-series k_n(zeta) of -d_zeta Q / Q comes from the division
+    q_0 k_n = -q_n' - sum_{v=1}^{min(n, d-1)} q_v k_{n-v}.  It is stable:
+    Q(zeta, .) has no zero in |z| <= 1 + ext_margin, by univalence.  The
+    zeta-coefficients of zeta k_n are read off the circle with max(trunc, d)
+    coefficients, so N starts above the degree of the q_v.
     """
-    d = spec.degree
-    Q = np.zeros((d, d), dtype=complex)
-    for u in range(d):
-        Q[u, : d - u] = spec.coeffs[u:]
+    a = np.asarray(spec.coeffs, dtype=complex)  # a[k] = a_{k+1}
+    d = a.size
+    if d == 1:  # Q is constant: the kernel vanishes identically
+        return np.zeros((trunc, trunc), dtype=complex)
 
-    def kernel(w):
-        V = w[:, None] ** np.arange(d)[None, :]  # V[s, u] = w_s^u
-        dV = np.zeros_like(V)
-        dV[:, 1:] = V[:, :-1] * np.arange(1, d)
-        return -(dV @ Q @ V.T) / (V @ Q @ V.T)
+    def samples(w):  # samples[s, n-1] = w_s k_n(w_s)
+        # q_v = a_{v+1} + zeta q_{v+1} and q_v' = q_{v+1} + zeta q_{v+1}'
+        q = np.empty((d, w.size), dtype=complex)
+        dq = np.zeros_like(q)
+        q[-1] = a[-1]
+        for v in range(d - 2, -1, -1):
+            q[v] = a[v] + w * q[v + 1]
+            dq[v] = q[v + 1] + w * dq[v + 1]
+        return (pseries.divide(-dq, q, trunc)[1:] * w).T
 
-    return pseries.torus_coeffs(kernel, trunc).T
+    return sample_to_coeffs(samples, max(trunc, d))[1][:trunc].T
 
 
 def orthonormal_from_monomial(b):

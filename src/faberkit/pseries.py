@@ -1,27 +1,26 @@
-"""Taylor coefficients of bivariate kernels from samples on the unit torus.
+"""Truncated power series held as coefficient arrays along their first axis."""
 
-A kernel K(zeta, z) analytic on the closed bidisk is sampled at
-zeta_s = exp(2 pi i s / N), z_t = exp(2 pi i t / N); one 2-d FFT of the
-N x N samples gives its Taylor coefficients [zeta^a z^n] K, aliased by
-those of index N or more higher in either variable.  N is sized by the
-same loop as the circle's (coeffs._extract); only the start and the band
-that holds the alias floor differ.
-"""
-
-from .coeffs import _extract
+import numpy as np
 
 
-def torus_coeffs(kernel, trunc):
-    """Coefficients out[a, n-1] = [zeta^a z^n] K for 0 <= a < trunc, 1 <= n <= trunc.
+def divide(num, den, trunc):
+    """Coefficients out[n] = [z^n] num/den for 0 <= n <= trunc.
 
-    kernel(w) returns the N x N samples K(w_s, w_t) at the torus nodes w.
-    N starts at the least power of two >= max(128, 2 * trunc).  The alias
-    floor is the top eighth of the spectrum in either variable: it holds
-    the coefficients of index near N, the size of those that alias into the
-    block (the fold band of the circle would hold genuine coefficients in
-    one variable while the other is free).  See _extract for the doubling,
-    the cap and the warnings.
+    num[v] and den[v] are the coefficient arrays of z^v, of one shape: each
+    entry is its own series, and one numpy step per n covers them all.  Long
+    division, den_0 out_n = num_n - sum_{v=1}^{min(n, d-1)} den_v out_{n-v},
+    needs den_0 != 0.  It stays at rounding level where den has no zero in
+    |z| <= 1: an error made in out_k reaches out_n through [z^{n-k}] 1/den,
+    which decays.
     """
-    spec = _extract(kernel, max(128, 1 << (2 * trunc - 1).bit_length()), 2,
-                    lambda n: [slice(n - n // 8, n), (slice(None), slice(n - n // 8, n))])
-    return spec[:trunc, 1 : trunc + 1]
+    d = den.shape[0]
+    inv = 1.0 / den[0]
+    rev = den[:0:-1] * inv  # den_{d-1}/den_0, ..., den_1/den_0
+    out = np.zeros((trunc + 1,) + den.shape[1:], dtype=complex)
+    for n in range(trunc + 1):
+        v = min(n, d - 1)
+        if n < num.shape[0]:
+            out[n] = num[n] * inv
+        if v:
+            out[n] -= np.sum(rev[d - 1 - v:] * out[n - v : n], axis=0)
+    return out

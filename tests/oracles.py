@@ -10,7 +10,8 @@ off h itself.  offdiagonal_block_series reads an off-diagonal Grunsky
 block off the Taylor coefficients of its cross kernel on the unit torus,
 where faberkit samples Faber functions on the circle and checks the block
 against its transpose.  two_disk_modulus is the exact Grunsky norm of
-two disks.  write_matrix_by_percent writes the grunsky_matrix export
+two disks, and quadratic_diagonal_block the exact diagonal block of
+w -> a1 w + a2 w^2.  write_matrix_by_percent writes the grunsky_matrix export
 with one '%.17g' per entry, where faberkit formats whole arrays at once.
 """
 
@@ -29,7 +30,6 @@ from faberkit import (
     operator_norm,
     pullback_boundary,
 )
-from faberkit.pseries import torus_coeffs
 
 
 def faber_oracle(spec, m, z):
@@ -173,21 +173,21 @@ def offdiagonal_block_series(config, j, i, trunc):
 
     K_ji(zeta, z) = f_i'(zeta)/(f_i(zeta) - f_j(z)) - f_i'(zeta)/(f_i(zeta) - f_j(0))
     is analytic on the closed bidisk; its coefficients come off one 2-d FFT
-    on the unit torus, whose N grows like 1/gap between the two curves.
+    of its samples on the unit torus, N = max(128, 4 trunc) nodes per axis.
+    That N is fixed: it resolves the bundled configs, whose curves stay far
+    apart, and would need to grow like 1/gap between two close curves.
     """
     if i == j:
         raise ValueError("cross kernel applies to off-diagonal blocks only")
     spec_i = config.maps[i]
     spec_j = config.maps[j]
-
-    def kernel(w):
-        fi = evaluate_map(spec_i, w)
-        fpi = map_derivative(spec_i, w)
-        fj = evaluate_map(spec_j, w)
-        return fpi[:, None] / (fi[:, None] - fj[None, :]) \
-            - (fpi / (fi - spec_j.center))[:, None]
-
-    return -torus_coeffs(kernel, trunc).T
+    n = max(128, 4 * trunc)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    fi = evaluate_map(spec_i, w)
+    fpi = map_derivative(spec_i, w)
+    fj = evaluate_map(spec_j, w)
+    kernel = fpi[:, None] / (fi[:, None] - fj[None, :]) - (fpi / (fi - spec_j.center))[:, None]
+    return -(np.fft.fft2(kernel) / n ** 2)[:trunc, 1 : trunc + 1].T
 
 
 def two_disk_modulus(r1, r2, d):
@@ -199,6 +199,22 @@ def two_disk_modulus(r1, r2, d):
     singular values are rho, rho, rho^2, rho^2, ...
     """
     return math.exp(-math.acosh((d * d - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)))
+
+
+def quadratic_diagonal_block(a1, a2, trunc):
+    """Orthonormal diagonal block of f(w) = a1 w + a2 w^2, in closed form.
+
+    Q(zeta, z) = a1 (1 + t (zeta + z)) with t = a2/a1, so expanding
+    log(1 + t (zeta + z)) gives G_nm = -sqrt(nm) [zeta^m z^n] log Q =
+    sqrt(nm) (-t)^{m+n} C(m+n, m)/(m+n).  Each entry is one binomial
+    coefficient times a power: nothing is summed, so nothing cancels.
+    """
+    t = a2 / a1
+    g = np.empty((trunc, trunc), dtype=complex)
+    for n in range(1, trunc + 1):
+        for m in range(1, trunc + 1):
+            g[n - 1, m - 1] = math.sqrt(n * m) * math.comb(m + n, m) * (-t) ** (m + n) / (m + n)
+    return g
 
 
 def write_matrix_by_percent(gr, fileobj, sigma_history=None):

@@ -53,6 +53,16 @@ NEAR_CONTACT = {
     "ext_margin": 0.00075,
 }
 
+# w + 0.499 w^2 beside a unit disk: its critical point, at radius 1.002, lies
+# just outside the margin circle
+NEAR_CRITICAL = {
+    "maps": [
+        {"center": [-3.0, 0.0], "coeffs": [[1.0, 0.0], [0.499, 0.0]]},
+        {"center": [3.0, 0.0], "coeffs": [[1.0, 0.0]]},
+    ],
+    "ext_margin": 0.001,
+}
+
 
 @pytest.fixture
 def cfg_file(tmp_path):
@@ -203,22 +213,30 @@ def test_grunsky_checks_every_block_by_default(cfg_file, tmp_path):
                               ["definitional+symmetry", "definitional+kernel-series"]]
 
 
-@pytest.mark.parametrize("trunc", [16, 128])
-def test_grunsky_near_contact_exits_0_quietly(cfg_file, tmp_path, capsys, trunc):
-    # the off-diagonal torus route needed N ~ 1/gap per axis here: it hit its
-    # cap (aliasing floor 6.6e-4) and the run exited 1, "methods differ by
-    # 0.000422"; symmetry checks those blocks with no torus
+@pytest.mark.parametrize("payload, trunc, tol", [
+    pytest.param(NEAR_CONTACT, 16, 1e-14, id="16"),
+    pytest.param(NEAR_CONTACT, 128, 1e-14, id="128"),
+    pytest.param(NEAR_CRITICAL, 16, 1e-13, id="critical-16"),
+    pytest.param(NEAR_CRITICAL, 256, 1e-13, id="critical-256"),
+])
+def test_grunsky_near_contact_exits_0_quietly(cfg_file, tmp_path, capsys, payload, trunc, tol):
+    # torus routes failed both: near contact the off-diagonal torus needed
+    # N ~ 1/gap per axis, hit its cap (aliasing floor 6.6e-4) and the run
+    # exited 1, "methods differ by 0.000422"; near the critical point the
+    # diagonal torus kernel came within 0.002 of its singularity, "block
+    # (0, 0): methods differ by 0.000147" (1.7e-06 at T = 256).  Symmetry
+    # checks the off-diagonal blocks and the kernel runs on the circle
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        rc = main(["grunsky", "--config", cfg_file(NEAR_CONTACT), "--trunc", str(trunc),
+        rc = main(["grunsky", "--config", cfg_file(payload), "--trunc", str(trunc),
                    "--out", str(out)])
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert [str(w.message) for w in record] == []
     with open(out / "grunsky_matrix.txt") as fh:
         gr = read_matrix(fh)
-    assert np.all(gr.agreement <= 1e-14)
+    assert np.all(gr.agreement <= tol)
 
 
 @pytest.mark.parametrize("policy", ["dual", "definitional"])

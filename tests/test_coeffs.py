@@ -14,7 +14,6 @@ from faberkit import (
     pullback_boundary,
     sample_to_coeffs,
 )
-from faberkit.pseries import torus_coeffs
 
 
 def test_single_mode_norms():
@@ -114,25 +113,16 @@ def test_pullback_boundary_doubling_evaluates_h_once_per_node():
     np.testing.assert_allclose(pos, 0, atol=1e-15)
 
 
-# a slowly decaying sampler (its alias band never clears) and a sampler
-# with a pole on the nodes, for each extractor
-EXTRACTORS = {
-    "circle": (sample_to_coeffs, lambda w: 1.0 / (w - 1.0001), lambda w: 1.0 / (w - 1.0)),
-    "torus": (torus_coeffs, lambda w: 1.0 / (np.multiply.outer(w, w) - 1.0001),
-              lambda w: 1.0 / (np.multiply.outer(w, w) - 1.0)),
-}
-
-
-@pytest.mark.parametrize("name, trunc, sizes", [
-    ("circle", 8, [128, 256, 512, 1024]),
-    ("circle", 128, [1024, 2048, 4096]),
-    ("torus", 8, [128, 256, 512, 1024]),
-    ("torus", 256, [512, 1024, 2048]),
-], ids=["circle-T8", "circle-T128", "torus-T8", "torus-T256"])
-def test_extractors_share_sizing_policy(name, trunc, sizes):
-    # both double from their start up to the cap max(1024, 4 start), then
-    # warn once; non-finite samples are sampled once and named
-    extract, slow, pole = EXTRACTORS[name]
+@pytest.mark.parametrize("trunc, sizes", [
+    (8, [128, 256, 512, 1024]),
+    (128, [1024, 2048, 4096]),
+], ids=["circle-T8", "circle-T128"])
+def test_extractors_share_sizing_policy(trunc, sizes):
+    # the extractor doubles from its start up to the cap max(1024, 4 start),
+    # evaluating only the new nodes of each doubling, then warns once; a
+    # sampler whose alias band never clears and one with a pole on the nodes
+    # (sampled once and named) show both ends
+    slow, pole = (lambda w: 1.0 / (w - 1.0001)), (lambda w: 1.0 / (w - 1.0))
     for fn, expect, match in ((slow, sizes, "aliasing floor"), (pole, sizes[:1], "not finite")):
         seen = []
 
@@ -141,9 +131,8 @@ def test_extractors_share_sizing_policy(name, trunc, sizes):
             return fn(w)
 
         with pytest.warns(AliasWarning, match=match) as record, np.errstate(all="ignore"):
-            extract(samples, trunc)
-        # the circle evaluates only the new nodes of each doubling
-        assert (np.cumsum(seen).tolist() if name == "circle" else seen) == expect
+            sample_to_coeffs(samples, trunc)
+        assert np.cumsum(seen).tolist() == expect
         assert len(record) == 1
 
 

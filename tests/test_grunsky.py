@@ -1,5 +1,6 @@
 """Block coefficient operator: two construction routes, norms, and export."""
 
+import functools
 import io
 import warnings
 from math import comb
@@ -27,7 +28,7 @@ from faberkit import (
     validate_config,
     write_matrix,
 )
-from oracles import offdiagonal_block_series, two_disk_modulus
+from oracles import offdiagonal_block_series, quadratic_diagonal_block, two_disk_modulus
 
 
 def test_two_disk_closed_form_entries(config_a):
@@ -95,9 +96,58 @@ def test_offdiagonal_series_matches_definitional(request, name, trunc):
 
 
 def test_kernel_series_alias_warning():
-    # f(w) = w + 0.5 w^2 has its critical point at w = -1, on the torus
+    # f(w) = w + 0.99 w^2 is not univalent on the closed disk: q_0(zeta) =
+    # 1 + 0.99 zeta vanishes at |zeta| = 1.0101, so the zeta-coefficients
+    # of the kernel decay like 0.99^m and still fill the fold band at the cap
     with pytest.warns(AliasWarning):
-        diagonal_block_series(ConformalMapSpec(center=0.0, coeffs=(1.0, 0.5)), 16)
+        diagonal_block_series(ConformalMapSpec(center=0.0, coeffs=(1.0, 0.99)), 16)
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_block(t):
+    return quadratic_diagonal_block(1.0, t, 256)
+
+
+@pytest.mark.parametrize("trunc", [16, 64, 256])
+@pytest.mark.parametrize("t", [0.1, 0.45, 0.495, 0.499, 0.4999, 0.499j, 0.5])
+def test_diagonal_block_matches_quadratic_closed_form(t, trunc):
+    # f(w) = w + t w^2 up to its critical point on the circle (t = 0.5): the
+    # kernel route divides by q_0(zeta) = 1 + t zeta, which keeps clear of 0
+    # on |zeta| = 1 for every such t, where the torus kernel came within
+    # 1 - 2|t| of its singularity (5.4e-4 off at t = 0.499, T = 16).  The
+    # definitional route needs an admissible map, t < 0.5
+    spec = ConformalMapSpec(center=0.0, coeffs=(1.0, t))
+    exact = _quadratic_block(t)[:trunc, :trunc]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = orthonormal_from_monomial(diagonal_block_series(spec, trunc))
+        assert np.max(np.abs(kernel - exact)) <= 1e-13
+        if abs(t) < 0.5:
+            b, _ = faber_pullback_block(MultiDomainConfig(maps=(spec,)), 0, 0, trunc)
+            assert np.max(np.abs(orthonormal_from_monomial(b) - exact)) <= 1e-13
+
+
+def _rounded_square(r=0.98):
+    """Coefficients of f_r(w) = (1/r) int_0^{rw} (1 - t^4)^{-1/2} dt at degree 257.
+
+    c_{4j+1} = C(2j, j) 4^{-j} r^{4j} / (4j + 1): a curve near a square.
+    """
+    a = np.zeros(257)
+    for j in range(65):
+        a[4 * j] = comb(2 * j, j) * 4.0 ** -j * r ** (4 * j) / (4 * j + 1)
+    return tuple(a)
+
+
+def test_kernel_series_at_degree_257():
+    # the q_v have degree up to 256 in zeta: the extraction starts from
+    # max(trunc, degree) coefficients, N = 2048, where a start from trunc
+    # = 16 alone would stop at its cap of 1024 and warn
+    spec = ConformalMapSpec(center=0.0, coeffs=_rounded_square())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        kernel = diagonal_block_series(spec, 16)
+        b, _ = faber_pullback_block(MultiDomainConfig(maps=(spec,), ext_margin=0.01), 0, 0, 16)
+    assert np.max(np.abs(kernel - b)) <= 1e-13
 
 
 def test_pullback_block_alias_warning():
@@ -136,14 +186,10 @@ def test_assemble_dual_on_close_configs(name, trunc):
 
 
 def test_rounded_square_assembles_without_alias_warning_at_trunc_128():
-    # f_r(w) = (1/r) int_0^{rw} (1 - t^4)^{-1/2} dt truncated at degree 257,
-    # c_{4j+1} = C(2j, j) 4^{-j} r^{4j} / (4j + 1), r = 0.98: a curve near a
-    # square.  At T = 128 its pullbacks need N = 2048, past the start of 1024
-    a = np.zeros(257)
-    for j in range(65):
-        a[4 * j] = comb(2 * j, j) * 4.0 ** -j * 0.98 ** (4 * j) / (4 * j + 1)
-    cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=tuple(a)) for c in (-1.6, 1.6)],
-                            ext_margin=0.01)
+    # at T = 128 the pullbacks of a rounded square need N = 2048, past the
+    # start of 1024
+    cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=_rounded_square())
+                                  for c in (-1.6, 1.6)], ext_margin=0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasWarning)
         gr = assemble(cfg, 128, policy="definitional")
@@ -341,6 +387,30 @@ def test_symmetry_catches_an_extractor_pinned_too_small(config_b, monkeypatch, p
     monkeypatch.setattr(grunsky, "faber_pullback_block", pinned)
     with pytest.raises(MethodDisagreement, match=A_PAIR):
         assemble(config_b, 8, policy=policy, method_tol=1e-12)
+
+
+def test_kernel_catches_a_symmetric_perturbation_of_a_diagonal_block(config_b, monkeypatch):
+    # 1e-10 added to every orthonormal entry of block (0, 0), through its
+    # positive half only: the block stays complex-symmetric and the negative
+    # half, hence the identity defect, is untouched, so only the kernel
+    # series sees it
+    pullback = grunsky.faber_pullback_block
+
+    def perturbed(config, j, i, trunc, n_samples=None):
+        b, defect = pullback(config, j, i, trunc)
+        if (j, i) == (0, 0):
+            b = b + 1e-10 * orthonormal_from_monomial(np.ones(b.shape)).T  # sqrt(m/n)
+        return b, defect
+
+    clean = assemble(config_b, 8, policy="definitional", method_tol=1e-12)
+    monkeypatch.setattr(grunsky, "faber_pullback_block", perturbed)
+    with pytest.raises(MethodDisagreement, match=r"block \(0, 0\): methods differ"):
+        assemble(config_b, 8, policy="dual", method_tol=1e-12)
+    gr = assemble(config_b, 8, policy="definitional", method_tol=1e-12)
+    np.testing.assert_allclose(gr.blocks[0, 0] - clean.blocks[0, 0], 1e-10, rtol=1e-5, atol=0)
+    assert gr.identity_defect == clean.identity_defect
+    np.testing.assert_array_equal(gr.agreement, clean.agreement)
+    assert np.max(np.abs(gr.blocks[0, 0] - gr.blocks[0, 0].T)) <= 1e-15
 
 
 def _two_disks(r1, r2, gap):
