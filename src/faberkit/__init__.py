@@ -14,7 +14,7 @@ from .domain import (
     winding_number,
 )
 from .errors import (
-    AliasWarning,
+    AliasError,
     FaberkitError,
     MethodDisagreement,
     PoleOutsideRegions,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .coeffs import dirichlet_norm, sample_to_coeffs
 from .domain import curve_samples, evaluate_map, map_derivative, winding_number
-from .errors import PoleOutsideRegions
+from .errors import AliasError, PoleOutsideRegions
 from .faber import RationalFn, faber_values
 from .grunsky import apply_grunsky, assemble
 from .quadrature import Contour, cauchy_eval
@@ -145,7 +145,13 @@ def pullback_boundary(config, j, h, trunc):
 
 def _boundary_halves(config, h, trunc):
     """(minus, plus) arrays [k, m-1]: the z^{-m} and z^m coefficients of h o f_k."""
-    return np.stack([pullback_boundary(config, k, h, trunc) for k in range(config.n)], axis=1)
+    halves = []
+    try:
+        for k in range(config.n):
+            halves.append(pullback_boundary(config, k, h, trunc))
+    except AliasError as exc:
+        raise AliasError("boundary %d: %s" % (k, exc)) from None
+    return np.stack(halves, axis=1)
 
 
 @dataclass

@@ -139,7 +139,10 @@ def cmd_grunsky(spec):
             writer.writerow([t, _fmt(history[t])])
     sigma = history[gr.trunc]
     print("sigma_max = %s" % _fmt(sigma))
-    return 0 if sigma < 1.0 else 1
+    if sigma < 1.0:
+        return 0
+    print("check failed: sigma_max = %s is not below 1" % _fmt(sigma), file=sys.stderr)
+    return 1
 
 
 def cmd_graph_check(spec):

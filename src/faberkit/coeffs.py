@@ -10,23 +10,17 @@ so the orthonormal coordinates of a are sqrt(pi m) a[..., m-1] and the
 boundary trace norm squared is pi * sum |n| |a_n|^2.
 
 Every coefficient extraction in the package runs through
-sample_to_coeffs: N doubles while the fold band around Nyquist,
-N/2 +- N/8, holds more than ALIAS_TOL of the spectral peak, up to the cap
-max(1024, 4 * start), past which an AliasWarning is issued.  It also
-carries the band floor down the band's own decay to the nearest alias of
-a kept coefficient and doubles while that estimate exceeds FOLD_TOL of the
-peak: a small, slowly decaying component can pass the band test and still
-alias above 1e-12 of the peak into the coefficients kept.
+sample_to_coeffs: N doubles while the alias it estimates in the kept
+coefficients exceeds FOLD_TOL of the spectral peak.  Past a budget of
+SAMPLE_BUDGET sample values (N times the columns) it raises AliasError.
 """
-
-import warnings
 
 import numpy as np
 
-from .errors import AliasWarning
+from .errors import AliasError
 
-ALIAS_TOL = 1e-8
 FOLD_TOL = 1e-13
+SAMPLE_BUDGET = 1 << 21  # N x columns: T = 256 at N = 8192
 
 
 def dirichlet_norm(a):
@@ -49,14 +43,13 @@ def sample_to_coeffs(fn, trunc):
     of 2N, so a doubling evaluates fn at the N odd nodes only and
     interleaves the samples it kept.  Returns (neg, pos) with neg[m-1] =
     a_{-m}, pos[n-1] = a_n along axis 0.  N starts at _start_points(trunc)
-    and doubles while the fold band around the Nyquist bin, N/8 to either
-    side, holds more than ALIAS_TOL of the spectral peak, or while the alias
-    that band's decay folds into the kept coefficients exceeds FOLD_TOL of
-    it; past max(1024, 4 start) an AliasWarning is issued instead.  Samples
-    that are not all finite stay so at any N: they are warned about at once
-    and not resampled.
+    and doubles while the alias folded into the kept coefficients, estimated
+    from the decay across the fold band around Nyquist, exceeds FOLD_TOL of
+    the spectral peak.  Raises AliasError, naming N and the estimate, where
+    the samples reach SAMPLE_BUDGET values unresolved, and at once where
+    they are not all finite: no N makes them so.
     """
-    start = n = _start_points(trunc)
+    n = _start_points(trunc)
     kept = None
     while True:
         w = np.exp(2j * np.pi * np.arange(n) / n)
@@ -70,8 +63,7 @@ def sample_to_coeffs(fn, trunc):
         mag = np.abs(spec)
         peak = float(np.max(mag))
         if not np.isfinite(peak):
-            warnings.warn("samples are not finite at N = %d" % n, AliasWarning)
-            break
+            raise AliasError("samples are not finite at N = %d" % n)
         # The fold band N/2 +- N/8 holds |frequency| 3N/8 to N/2; its floor
         # sits at 3N/8 and its outer half, within N/16 of Nyquist, is smaller
         # by the decay over N/16 frequencies.  Coefficients m < N/4 are
@@ -81,16 +73,11 @@ def sample_to_coeffs(fn, trunc):
         floor = float(np.max(mag[n // 2 - e : n // 2 + e + 1]))
         outer = float(np.max(mag[n // 2 - e // 2 : n // 2 + e // 2 + 1]))
         folded = floor * (outer / floor) ** 6 if floor else 0.0
-        if floor <= ALIAS_TOL * peak and folded <= FOLD_TOL * peak:
+        if folded <= FOLD_TOL * peak:
             break
-        if n >= max(1024, 4 * start):
-            if floor > ALIAS_TOL * peak:
-                msg = "aliasing floor %.3g exceeds %.3g of spectral peak" % (floor, ALIAS_TOL * peak)
-            else:
-                msg = "folded alias estimate %.3g exceeds %.3g of spectral peak" % (
-                    folded, FOLD_TOL * peak)
-            warnings.warn(msg, AliasWarning)
-            break
+        if samples.size >= SAMPLE_BUDGET:
+            raise AliasError("N = %d: folded alias estimate %.3g exceeds %.3g of the "
+                             "spectral peak" % (n, folded, FOLD_TOL * peak))
         kept = samples
         n *= 2
     ns = np.arange(1, trunc + 1)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class FaberkitError(Exception):
@@ -17,10 +17,8 @@ class PoleOutsideRegions(FaberkitError):
     """A pole of a rational function lies in none of the interior regions."""
 
 
-class AliasWarning(UserWarning):
+class AliasError(FaberkitError):
     """A coefficient extraction on the unit circle (coeffs.sample_to_coeffs)
     cannot be trusted: its samples are not finite (a pole on the circle), or
-    at the cap max(1024, 4 * start) its fold band around Nyquist,
-    N/2 +- N/8, still holds more than ALIAS_TOL of the spectral peak, or
-    the band floor, carried down the band's own decay, still aliases more
-    than FOLD_TOL of the peak into the kept coefficients."""
+    its folded-alias estimate still exceeds FOLD_TOL of the spectral peak
+    where the samples reach SAMPLE_BUDGET values."""

@@ -10,7 +10,7 @@ One route computes the blocks and two independent ones check them:
 
 * definitional: sample Phi^i_m o f_j on the unit circle |w| = 1 and read
   the coefficients off an FFT (coeffs.sample_to_coeffs, which sizes it
-  from its alias floor).  The samples come from faber.faber_values, the
+  from its alias estimate).  The samples come from faber.faber_values, the
   generating-function recurrence in u = 1/(f_j(w) - p_i); it stays at
   rounding level where summing the principal parts would cancel (for
   w + 0.1 w^2 their coefficients reach 5e8 by m = 256).  Validated maps
@@ -59,7 +59,7 @@ from . import pseries
 from .coeffs import sample_to_coeffs
 from .coeffs import _start_points as _fft_samples  # read by perfbench/tracing.py
 from .domain import evaluate_map
-from .errors import MethodDisagreement
+from .errors import AliasError, MethodDisagreement
 from .faber import faber_values
 from .textfmt import format_g17, parse_g17
 
@@ -182,7 +182,8 @@ def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
     also checks every diagonal block against the kernel series;
     "definitional" runs only the sampling route there.  A gap above
     method_tol, or an identity-recovery defect above it, raises
-    MethodDisagreement; so does a gap or defect that is not finite.
+    MethodDisagreement; so does a gap or defect that is not finite.  An
+    extraction that fails its bound raises AliasError naming the block.
     """
     if policy not in ("dual", "definitional"):
         raise ValueError("unknown method policy: %r" % (policy,))
@@ -190,16 +191,19 @@ def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
     blocks = np.empty((n, n, trunc, trunc), dtype=complex)
     agreement = np.full((n, n), np.nan)
     worst_defect = 0.0
-    for j, i in itertools.product(range(n), repeat=2):
-        b, defect = faber_pullback_block(config, j, i, trunc)
-        worst_defect = np.maximum(worst_defect, defect)  # keeps a NaN
-        if policy == "dual" and i == j:
-            agreement[j, j] = np.max(np.abs(b - diagonal_block_series(config.maps[j], trunc)))
-            if not agreement[j, j] <= method_tol:
-                raise MethodDisagreement(
-                    "block (%d, %d): methods differ by %.3g" % (j, j, agreement[j, j])
-                )
-        blocks[j, i] = orthonormal_from_monomial(b)
+    try:
+        for j, i in itertools.product(range(n), repeat=2):
+            b, defect = faber_pullback_block(config, j, i, trunc)
+            worst_defect = np.maximum(worst_defect, defect)  # keeps a NaN
+            if policy == "dual" and i == j:
+                agreement[j, j] = np.max(np.abs(b - diagonal_block_series(config.maps[j], trunc)))
+                if not agreement[j, j] <= method_tol:
+                    raise MethodDisagreement(
+                        "block (%d, %d): methods differ by %.3g" % (j, j, agreement[j, j])
+                    )
+            blocks[j, i] = orthonormal_from_monomial(b)
+    except AliasError as exc:
+        raise AliasError("block (%d, %d): %s" % (j, i, exc)) from None
     for j, i in itertools.combinations(range(n), 2):
         agreement[j, i] = agreement[i, j] = np.max(np.abs(blocks[i, j] - blocks[j, i].T))
         if not agreement[j, i] <= method_tol:

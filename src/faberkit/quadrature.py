@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from scipy.spatial.distance import cdist
 
-from .coeffs import ALIAS_TOL
 from .domain import evaluate_map, map_derivative
 from .errors import TooCloseToContour
 
+ALIAS_TOL = 1e-8
 DEFAULT_DMIN = 0.05
 DEFAULT_NQ = 1024
 _MIN_NQ = 64

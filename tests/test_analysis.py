@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faberkit import (
+    AliasError,
     ConformalMapSpec,
     MultiDomainConfig,
     PoleOutsideRegions,
@@ -242,6 +243,26 @@ def test_faber_coefficients_reject_stray_pole(config_a):
     h = RationalFn(terms=((-2.3, 1, 1.0), (0.0, 1, 1.0)))
     with pytest.raises(PoleOutsideRegions):
         faber_coefficients(config_a, h, 8)
+
+
+@pytest.mark.parametrize("q, tol", [(-2.98, 1e-14), (-2.995, 1e-13)])
+def test_faber_coefficients_of_pole_near_the_curve(config_a, q, tol):
+    # h = 1/(z - q) within 3 + q of the left curve: its Faber coefficients
+    # are (q + 2)^{m-1} on boundary 0 and zero on boundary 1.  The old cap
+    # stopped the pullback at N = 2048 with a warning, 3.5e-5 off at -2.995
+    h = RationalFn(terms=((q, 1, 1.0),))
+    m = np.arange(1, 65)
+    exact = np.stack([(q + 2) ** (m - 1.0), np.zeros(64)])
+    assert np.max(np.abs(faber_coefficients(config_a, h, 64) - exact)) <= tol
+
+
+def test_faber_coefficients_refuse_pole_on_the_curve(config_a):
+    # 1e-6 inside the curve the coefficients decay like (1 - 1e-6)^m: the
+    # pullback through boundary 0 reaches the budget unresolved
+    h = RationalFn(terms=((-3 + 1e-6, 1, 1.0),))
+    match = r"^boundary 0: N = 2097152: folded alias estimate \S+ exceeds"
+    with pytest.raises(AliasError, match=match):
+        faber_coefficients(config_a, h, 64)
 
 
 def test_inverse_faber_exact_geometric(config_a):

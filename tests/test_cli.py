@@ -242,13 +242,28 @@ def test_grunsky_near_contact_exits_0_quietly(cfg_file, tmp_path, capsys, payloa
 @pytest.mark.parametrize("policy", ["dual", "definitional"])
 def test_grunsky_non_finite_blocks_fail_the_check(cfg_file, tmp_path, capsys, policy):
     # NaN blocks used to reach the SVD, which died with a LinAlgError
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
+    with np.errstate(all="ignore"):
         rc = main(["grunsky", "--config", cfg_file(NESTED), "--trunc", "8",
                    "--policy", policy, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "check failed:" in err and "Traceback" not in err
+    assert err == "check failed: block (0, 1): samples are not finite at N = 128\n"
+
+
+@pytest.mark.parametrize("payload, sigma", [
+    pytest.param({"maps": [{"center": [-0.9, 0.0], "coeffs": [[1.0, 0.0]]},
+                           {"center": [0.9, 0.0], "coeffs": [[1.0, 0.0]]}]},
+                 "8.4950372583495248", id="overlapping-disks"),
+    pytest.param({"maps": [{"center": [0.0, 0.0], "coeffs": [[1.0, 0.0], [0.6, 0.0]]}]},
+                 "70.684258613294375", id="critical-point-inside"),
+])
+def test_grunsky_says_why_sigma_fails(cfg_file, tmp_path, capsys, payload, sigma):
+    # sigma_max >= 1 used to exit 1 with nothing on stderr
+    out = tmp_path / "out"
+    rc = main(["grunsky", "--config", cfg_file(payload), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "check failed: sigma_max = %s is not below 1\n" % sigma
+    assert "sigma_max = %s\n" % sigma in (out / "grunsky_matrix.txt").read_text()
 
 
 @pytest.mark.parametrize("name", ["perturbed_pair", "three_disks", "two_disks"])
@@ -298,6 +313,39 @@ def test_graph_check_detects_nonmember(cfg_file, tmp_path):
                "--out", str(out)])
     assert rc == 1
     assert "passed = false" in (out / "graph_check.txt").read_text()
+
+
+@pytest.mark.parametrize("q", [-2.98, -2.995])
+def test_pole_near_the_curve_exits_0_quietly(cfg_file, tmp_path, capsys, q):
+    # h = 1/(z - q) within 0.02 and 0.005 of the left curve: both commands
+    # warned of aliasing; at -2.995 faber-series was 3.5e-5 off and
+    # graph-check wrote passed = false (residual 7.3e-3) for an h in D(Sigma)
+    out, function = tmp_path / "out", "--function=%r,0,1,1,0" % q
+    config = cfg_file(TWO_DISKS)
+    assert main(["faber-series", "--config", config, function, "--trunc", "64",
+                 "--out", str(out)]) == 0
+    assert main(["graph-check", "--config", config, function, "--trunc", "32",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "passed = true" in (out / "graph_check.txt").read_text()
+    rows = (out / "faber_coefficients.csv").read_text().splitlines()[1:]
+    coeffs = np.array([complex(float(re), float(im)) for k, m, re, im in
+                       (row.split(",") for row in rows)]).reshape(2, 64)
+    exact = np.stack([(q + 2) ** np.arange(64.0), np.zeros(64)])
+    assert np.max(np.abs(coeffs - exact)) <= 1e-13
+
+
+def test_pole_on_the_curve_is_refused_by_name(cfg_file, tmp_path, capsys):
+    # 1e-6 inside the curve no sample count within the budget resolves the
+    # pullback: graph-check names it and writes no verdict on h
+    out = tmp_path / "out"
+    rc = main(["graph-check", "--config", cfg_file(TWO_DISKS), "--function=-2.999999,0,1,1,0",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("check failed: boundary 0: N = 2097152: folded alias estimate ")
+    assert "Traceback" not in err
+    assert not (out / "graph_check.txt").exists()
 
 
 def test_faber_series_outputs(cfg_file, tmp_path):

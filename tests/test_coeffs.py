@@ -1,13 +1,12 @@
 """Two-sided coefficient sequences, seminorms, and circle sampling."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from faberkit import (
-    AliasWarning,
+    AliasError,
     ConformalMapSpec,
     MultiDomainConfig,
     dirichlet_norm,
@@ -33,11 +32,21 @@ def test_sample_to_coeffs_geometric_series():
     np.testing.assert_allclose(neg, 0, atol=1e-14)
 
 
-def test_sample_to_coeffs_warns_on_aliasing():
-    # pole at 1.01 decays like 1.01^{-n}: even at the 1024-sample cap the
-    # fold band holds about 2% of the peak
-    with pytest.warns(AliasWarning):
-        sample_to_coeffs(lambda w: 1.0 / (w - 1.01), 8)
+def test_sample_to_coeffs_resolves_pole_near_circle():
+    # a pole at 1.01 decays like 1.01^{-n}: it filled the fold band at the
+    # old cap of N = 1024 and was warned about; its folded alias is 2.3e-7
+    # of the peak at N = 2048 and 5.3e-14 at N = 4096
+    sizes = []
+
+    def samples(w):
+        sizes.append(w.size)
+        return 1.0 / (w - 1.01)
+
+    neg, pos = sample_to_coeffs(samples, 8)
+    assert np.cumsum(sizes).tolist() == [128, 256, 512, 1024, 2048, 4096]
+    n = np.arange(1, 9)
+    np.testing.assert_allclose(pos, -(1.01 ** (-n - 1.0)), rtol=1e-14)
+    np.testing.assert_allclose(neg, 0, atol=1e-14)
 
 
 def test_sample_to_coeffs_stops_on_non_finite_samples():
@@ -49,28 +58,27 @@ def test_sample_to_coeffs_stops_on_non_finite_samples():
         sizes.append(w.size)
         return 1.0 / (w - 1.0)
 
-    with pytest.warns(AliasWarning, match="not finite") as record, np.errstate(all="ignore"):
+    with pytest.raises(AliasError, match="^samples are not finite at N = 128$"), \
+            np.errstate(all="ignore"):
         sample_to_coeffs(samples, 8)
     assert sizes == [128]
-    assert not any("floor" in str(w.message) for w in record)
 
 
 def test_sample_to_coeffs_doubles_past_1024_at_large_trunc():
-    # at T = 128 the extractor starts at N = 1024; a pole at 1.04 leaves
-    # 2.8e-7 in the fold band there against a peak of 0.96, and about
-    # 1.04^{-768} at N = 2048; the doubling samples only the new nodes
+    # at T = 128 the extractor starts at N = 1024; a pole at 1.02 folds an
+    # estimated 2.5e-7 of the peak into the kept coefficients there, and
+    # 6.2e-14 at N = 2048; the doubling samples only the new nodes
     sizes = []
 
     def samples(w):
         sizes.append(w.size)
-        return 1.0 / (w - 1.04)
+        return 1.0 / (w - 1.02)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasWarning)
-        neg, pos = sample_to_coeffs(samples, 128)
+    neg, pos = sample_to_coeffs(samples, 128)
     assert np.cumsum(sizes).tolist() == [1024, 2048]
     n = np.arange(1, 129)
-    np.testing.assert_allclose(pos, -(1.04 ** (-n - 1.0)), rtol=1e-12)
+    np.testing.assert_allclose(pos, -(1.02 ** (-n - 1.0)), rtol=1e-13)
+    np.testing.assert_allclose(neg, 0, atol=1e-14)
 
 
 def test_doubling_evaluates_each_node_once():
@@ -81,11 +89,9 @@ def test_doubling_evaluates_each_node_once():
 
     def samples(w):
         sizes.append(w.size)
-        return np.stack([1.0 / (w - 1.04), w ** 2 / (w + 1.05)], axis=1)
+        return np.stack([1.0 / (w - 1.02), w ** 2 / (w + 1.025)], axis=1)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasWarning)
-        neg, pos = sample_to_coeffs(samples, 128)
+    neg, pos = sample_to_coeffs(samples, 128)
     assert sizes == [1024, 1024]
     n = 2048
     spec = np.fft.fft(samples(np.exp(2j * np.pi * np.arange(n) / n)), axis=0) / n
@@ -104,36 +110,36 @@ def test_pullback_boundary_doubling_evaluates_h_once_per_node():
         sizes.append(z.size)
         return 1.0 / (z - 0.9)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasWarning)
-        neg, pos = pullback_boundary(config, 0, h, 8)
+    neg, pos = pullback_boundary(config, 0, h, 8)
     assert np.cumsum(sizes).tolist() == [128, 256, 512]
     m = np.arange(1, 9)
     np.testing.assert_allclose(neg, 0.9 ** (m - 1.0), rtol=1e-14)
     np.testing.assert_allclose(pos, 0, atol=1e-15)
 
 
-@pytest.mark.parametrize("trunc, sizes", [
-    (8, [128, 256, 512, 1024]),
-    (128, [1024, 2048, 4096]),
+@pytest.mark.parametrize("trunc, columns, sizes", [
+    (8, 1, [128 << k for k in range(15)]),
+    (128, 256, [1024, 2048, 4096, 8192]),
 ], ids=["circle-T8", "circle-T128"])
-def test_extractors_share_sizing_policy(trunc, sizes):
-    # the extractor doubles from its start up to the cap max(1024, 4 start),
-    # evaluating only the new nodes of each doubling, then warns once; a
-    # sampler whose alias band never clears and one with a pole on the nodes
-    # (sampled once and named) show both ends
-    slow, pole = (lambda w: 1.0 / (w - 1.0001)), (lambda w: 1.0 / (w - 1.0))
-    for fn, expect, match in ((slow, sizes, "aliasing floor"), (pole, sizes[:1], "not finite")):
+def test_extractors_share_sizing_policy(trunc, columns, sizes):
+    # the extractor doubles from its start until N times the columns reaches
+    # 2^21 values, evaluating only the new nodes of each doubling, then
+    # raises; a sampler whose alias never clears and one with a pole on the
+    # nodes (sampled once and named) show both ends.  256 columns, a T = 256
+    # pullback block, stop at N = 8192, the old cap at that size
+    slow, pole = (lambda w: 1.0 / (w - (1 + 1e-6))), (lambda w: 1.0 / (w - 1.0))
+    budget = r"^N = %d: folded alias estimate \S+ exceeds" % sizes[-1]
+    for fn, expect, match in ((slow, sizes, budget),
+                              (pole, sizes[:1], "^samples are not finite at N = %d$" % sizes[0])):
         seen = []
 
         def samples(w):
             seen.append(w.size)
-            return fn(w)
+            return np.repeat(fn(w)[:, None], columns, axis=1)
 
-        with pytest.warns(AliasWarning, match=match) as record, np.errstate(all="ignore"):
+        with pytest.raises(AliasError, match=match), np.errstate(all="ignore"):
             sample_to_coeffs(samples, trunc)
         assert np.cumsum(seen).tolist() == expect
-        assert len(record) == 1
 
 
 def _small_slow_pole(res, rho):
@@ -145,9 +151,8 @@ def _small_slow_pole(res, rho):
 
 
 def test_sample_to_coeffs_sizes_by_folded_alias():
-    # the fold band of N = 128 holds 7e-9 of the peak, under ALIAS_TOL, yet
-    # the pole at 0.9 aliases 1.4e-12 into a_{-1}; its decay across the
-    # band sends N to 256, where the alias is 2e-18
+    # at N = 128 the small pole at 0.9 aliases 1.4e-12 into a_{-1}; its
+    # decay across the fold band sends N to 256, where the alias is 2e-18
     res, rho = 1e-6, 0.9
     seen = []
 
@@ -155,26 +160,26 @@ def test_sample_to_coeffs_sizes_by_folded_alias():
         seen.append(w.size)
         return _small_slow_pole(res, rho)(w)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasWarning)
-        neg, pos = sample_to_coeffs(samples, 8)
+    neg, pos = sample_to_coeffs(samples, 8)
     assert np.cumsum(seen).tolist() == [128, 256]
     m = np.arange(1, 9)
     np.testing.assert_allclose(neg, (m == 1) + res * rho ** (m - 1.0), rtol=0, atol=1e-15)
     np.testing.assert_allclose(pos, 0, atol=1e-15)
 
 
-def test_sample_to_coeffs_warns_on_folded_alias():
-    # at the cap N = 1024 the fold band holds 5e-9 of the peak but the
-    # folded alias is 2.5e-10, over FOLD_TOL: warned about by that name
-    rho = 0.05 ** (1 / 384)
+def test_sample_to_coeffs_resolves_small_slow_pole():
+    # at the old cap N = 1024 the fold band held 5e-9 of the peak but the
+    # folded alias was 2.5e-10, over FOLD_TOL, and was warned about; the
+    # estimate falls to 6.3e-13 at N = 2048 and 3.9e-18 at N = 4096
+    res, rho = 1e-7, 0.05 ** (1 / 384)
     seen = []
 
     def samples(w):
         seen.append(w.size)
-        return _small_slow_pole(1e-7, rho)(w)
+        return _small_slow_pole(res, rho)(w)
 
-    with pytest.warns(AliasWarning, match="folded alias estimate") as record:
-        sample_to_coeffs(samples, 8)
-    assert np.cumsum(seen).tolist() == [128, 256, 512, 1024]
-    assert len(record) == 1
+    neg, pos = sample_to_coeffs(samples, 8)
+    assert np.cumsum(seen).tolist() == [128, 256, 512, 1024, 2048, 4096]
+    m = np.arange(1, 9)
+    np.testing.assert_allclose(neg, (m == 1) + res * rho ** (m - 1.0), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pos, 0, atol=1e-15)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faberkit import (
-    AliasWarning,
+    AliasError,
     ConformalMapSpec,
     GrunskyMatrix,
     MethodDisagreement,
@@ -95,12 +95,22 @@ def test_offdiagonal_series_matches_definitional(request, name, trunc):
                 np.testing.assert_allclose(b_ker, b_fft, atol=1e-12)
 
 
-def test_kernel_series_alias_warning():
+def test_kernel_series_alias_refusal():
     # f(w) = w + 0.99 w^2 is not univalent on the closed disk: q_0(zeta) =
-    # 1 + 0.99 zeta vanishes at |zeta| = 1.0101, so the zeta-coefficients
-    # of the kernel decay like 0.99^m and still fill the fold band at the cap
-    with pytest.warns(AliasWarning):
-        diagonal_block_series(ConformalMapSpec(center=0.0, coeffs=(1.0, 0.99)), 16)
+    # 1 + 0.99 zeta vanishes at |zeta| = 1.0101.  The zeta-coefficients of
+    # the kernel decay like 0.99^m from a peak near m = 1600 that the
+    # samples put at 8e33, so the extraction resolves at N = 16384 relative
+    # to that peak, yet its rounding swamps the kept entries (at most 2.2e8
+    # in closed form); the dual check of assemble refuses the block.  At
+    # 0.9999 the decay is too slow for the budget
+    spec = ConformalMapSpec(center=0.0, coeffs=(1.0, 0.99))
+    kernel = orthonormal_from_monomial(diagonal_block_series(spec, 16))
+    exact = quadratic_diagonal_block(1.0, 0.99, 16)
+    assert np.max(np.abs(exact)) < 3e8 < 1e15 < np.max(np.abs(kernel - exact))
+    with pytest.raises(MethodDisagreement, match=r"^block \(0, 0\): methods differ"):
+        assemble(MultiDomainConfig(maps=(spec,)), 16)
+    with pytest.raises(AliasError, match="^N = 131072: folded alias estimate"):
+        diagonal_block_series(ConformalMapSpec(center=0.0, coeffs=(1.0, 0.9999)), 16)
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,24 +150,24 @@ def _rounded_square(r=0.98):
 
 def test_kernel_series_at_degree_257():
     # the q_v have degree up to 256 in zeta: the extraction starts from
-    # max(trunc, degree) coefficients, N = 2048, where a start from trunc
-    # = 16 alone would stop at its cap of 1024 and warn
+    # max(trunc, degree) coefficients, N = 2048, not from trunc = 16 alone
     spec = ConformalMapSpec(center=0.0, coeffs=_rounded_square())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasWarning)
-        kernel = diagonal_block_series(spec, 16)
-        b, _ = faber_pullback_block(MultiDomainConfig(maps=(spec,), ext_margin=0.01), 0, 0, 16)
+    kernel = diagonal_block_series(spec, 16)
+    b, _ = faber_pullback_block(MultiDomainConfig(maps=(spec,), ext_margin=0.01), 0, 0, 16)
     assert np.max(np.abs(kernel - b)) <= 1e-13
 
 
-def test_pullback_block_alias_warning():
+def test_pullback_block_identity_defect_refusal():
     # f(w) = w + 0.9 w^2 is not univalent on the unit disk (f' vanishes at
     # w = -1/1.8): f(-1) has a second preimage at -1/9, so Phi_32 o f
-    # reaches 9^32 on the circle.  Rounding at that scale fills the fold
-    # band at every sample count, and the identity defect is 2e14
+    # reaches 9^32 on the circle.  The extraction resolves at N = 2048
+    # relative to that scale, but its rounding leaves an identity defect of
+    # 1e14, which assemble refuses
     cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=0.0, coeffs=(1.0, 0.9))])
-    with pytest.warns(AliasWarning):
-        faber_pullback_block(cfg, 0, 0, 32)
+    b, defect = faber_pullback_block(cfg, 0, 0, 32)
+    assert np.all(np.isfinite(b)) and defect > 1e13
+    with pytest.raises(MethodDisagreement, match="^identity recovery defect"):
+        assemble(cfg, 32, policy="definitional")
 
 
 CLOSE_MAPS = {
@@ -179,9 +189,7 @@ CLOSE_MAPS = {
 def test_assemble_dual_on_close_configs(name, trunc):
     cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=a)
                                   for c, a in CLOSE_MAPS[name]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasWarning)
-        gr = assemble(cfg, trunc, policy="dual")
+    gr = assemble(cfg, trunc, policy="dual")
     assert np.nanmax(gr.agreement) <= 1e-12
 
 
@@ -190,9 +198,7 @@ def test_rounded_square_assembles_without_alias_warning_at_trunc_128():
     # start of 1024
     cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=_rounded_square())
                                   for c in (-1.6, 1.6)], ext_margin=0.01)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AliasWarning)
-        gr = assemble(cfg, 128, policy="definitional")
+    gr = assemble(cfg, 128, policy="definitional")
     assert gr.identity_defect < 1e-12
 
 
@@ -236,14 +242,10 @@ def test_assemble_refuses_non_finite_blocks(policy):
     # used to pass every "gap > tol" and "defect > tol" test
     nested = MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=(1.0,)),
                                      ConformalMapSpec(center=1.0, coeffs=(0.5,))))
-    with warnings.catch_warnings(record=True) as record, np.errstate(all="ignore"):
-        warnings.simplefilter("always")
-        with pytest.raises(MethodDisagreement):
-            assemble(nested, 8, policy=policy)
-    # the extractors name the cause rather than report a NaN alias floor
-    messages = [str(w.message) for w in record]
-    assert any("not finite" in msg for msg in messages)
-    assert not any("floor nan" in msg for msg in messages)
+    # the extractor names the cause, and assemble the block
+    match = r"^block \(0, 1\): samples are not finite at N = 128$"
+    with pytest.raises(AliasError, match=match), np.errstate(all="ignore"):
+        assemble(nested, 8, policy=policy)
 
 
 def test_operator_norm_single_mode(config_a):
