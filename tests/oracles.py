@@ -12,7 +12,8 @@ where faberkit samples Faber functions on the circle and checks the block
 against its transpose.  two_disk_modulus is the exact Grunsky norm of
 two disks, and quadratic_diagonal_block the exact diagonal block of
 w -> a1 w + a2 w^2.  write_matrix_by_percent writes the grunsky_matrix export
-with one '%.17g' per entry, where faberkit formats whole arrays at once.
+(the upper triangle of the stacked matrix) with one '%.17g' per entry,
+where faberkit formats whole arrays at once.
 """
 
 import math
@@ -223,18 +224,21 @@ def write_matrix_by_percent(gr, fileobj, sigma_history=None):
     fileobj.write("kind = grunsky_matrix\n")
     fileobj.write("n = %d\n" % gr.n)
     fileobj.write("trunc = %d\n" % gr.trunc)
+    fileobj.write("storage = upper\n")
     history = sigma_history or norm_history(gr)
     sigma = history[gr.trunc] if gr.trunc in history else operator_norm(gr)
     fileobj.write("sigma_max = %.17g\n" % sigma)
     for t in sorted(history):
         fileobj.write("sigma_max[%d] = %.17g\n" % (t, history[t]))
     fileobj.write("identity_defect = %.3g\n" % gr.identity_defect)
-    row_fmt = " ".join(["%.17g,%.17g"] * gr.trunc) + "\n"
     for j in range(gr.n):
-        for i in range(gr.n):
+        for i in range(j, gr.n):  # the upper triangle: blocks j <= i
             gap = gr.agreement[j, i]
             gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
             fileobj.write("block %d %d method=%s agreement=%s\n"
                           % (j, i, gr.method_tags[j][i], gap_txt))
-            for row in np.ascontiguousarray(gr.blocks[j][i], dtype=complex).view(float):
-                fileobj.write(row_fmt % tuple(row))
+            for n, row in enumerate(gr.blocks[j][i]):
+                # a diagonal block's row n (from 0) starts at column n
+                entries = row[n:] if i == j else row
+                fileobj.write(" ".join("%.17g,%.17g" % (c.real, c.imag) for c in entries)
+                              + "\n")

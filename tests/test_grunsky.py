@@ -2,6 +2,7 @@
 
 import functools
 import io
+import pathlib
 import warnings
 from math import comb
 
@@ -28,7 +29,10 @@ from faberkit import (
     validate_config,
     write_matrix,
 )
+from faberkit.cli import load_config_file
 from oracles import offdiagonal_block_series, quadratic_diagonal_block, two_disk_modulus
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_two_disk_closed_form_entries(config_a):
@@ -259,6 +263,68 @@ def test_operator_norm_regression(config_b):
     np.testing.assert_allclose(operator_norm(gr), 0.063262746546758009, atol=1e-9)
 
 
+@functools.lru_cache(maxsize=None)
+def _bundled_at_256(name):
+    return assemble(load_config_file(CONFIGS / (name + ".json")), 256, policy="definitional")
+
+
+@pytest.mark.parametrize("name", ["perturbed_pair", "three_disks", "two_disks"])
+def test_lanczos_matches_the_svd_on_bundled_configs(name):
+    gr = _bundled_at_256(name)
+    truncs = (1, 3, 16, 64, 128, 256)
+    sizes = [gr.n * t for t in truncs]  # 2 to 768, on both sides of the crossover
+    assert min(sizes) < grunsky._LANCZOS_MIN_SIZE <= max(sizes)
+    for t in truncs:
+        svd = np.linalg.svd(gr.full_matrix(t), compute_uv=False)[0]
+        assert abs(operator_norm(gr, t) - svd) <= 1e-14 * svd
+
+
+def test_lanczos_runs_from_the_crossover_on(config_c, monkeypatch):
+    gr = assemble(config_c, 32, policy="definitional")
+    svd, sizes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for t in (31, 32):  # nT = 93 and 96
+        operator_norm(gr, t)
+    assert sizes == [93]
+
+
+@pytest.mark.parametrize("trunc", [1, 2, 64])
+def test_operator_norm_is_quiet_and_reproducible(single_poly, config_b, trunc):
+    # nT <= 2 stays with LAPACK: ARPACK raises TypeError there, with a
+    # RuntimeWarning.  At nT = 128 Lanczos starts from a fixed vector, where
+    # ARPACK's default start is random and moves the last digits
+    for cfg in (single_poly, config_b):
+        gr = assemble(cfg, trunc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, second = operator_norm(gr), operator_norm(gr)
+        assert first == second
+
+
+@pytest.mark.parametrize("case", ["zero-operator", "no-convergence"])
+def test_operator_norm_falls_back_to_the_svd(config_c, monkeypatch, case):
+    import scipy.sparse.linalg
+
+    if case == "zero-operator":
+        # ARPACK refuses a start vector that G sends to zero; read_matrix
+        # accepts such a file
+        gr = GrunskyMatrix(blocks=np.zeros((1, 1, 128, 128), dtype=complex),
+                           agreement=np.full((1, 1), np.nan), identity_defect=0.0)
+    else:
+        gr = assemble(config_c, 64, policy="definitional")
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    assert operator_norm(gr) == np.linalg.svd(gr.full_matrix(), compute_uv=False)[0]
+
+
 def test_norm_history_nondecreasing(config_b):
     gr = assemble(config_b, 32, policy="definitional")
     hist = norm_history(gr)
@@ -320,13 +386,19 @@ def test_assembled_operator_is_complex_symmetric(cfg, trunc):
 
 @pytest.mark.parametrize("policy", ["dual", "definitional"])
 def test_symmetry_gap_is_the_agreement_of_both_offdiagonal_blocks(config_c, policy):
+    # the gap is that of the blocks as sampled; the blocks returned keep the
+    # upper one of each pair and its exact transpose
     gr = assemble(config_c, 16, policy=policy)
+    sampled = [[orthonormal_from_monomial(faber_pullback_block(config_c, j, i, 16)[0])
+                for i in range(3)] for j in range(3)]
     for j in range(3):
         for i in range(3):
             if i != j:
-                gap = np.max(np.abs(gr.blocks[j, i] - gr.blocks[i, j].T))
+                gap = np.max(np.abs(sampled[j][i] - sampled[i][j].T))
                 assert gr.agreement[j, i] == gap
                 assert gr.method_tags[j][i] == "definitional+symmetry"
+                upper = sampled[min(j, i)][max(j, i)]
+                np.testing.assert_array_equal(gr.blocks[j, i], upper if j < i else upper.T)
     assert np.isnan(np.diag(gr.agreement)).all() == (policy == "definitional")
 
 
@@ -415,6 +487,25 @@ def test_kernel_catches_a_symmetric_perturbation_of_a_diagonal_block(config_b, m
     assert np.max(np.abs(gr.blocks[0, 0] - gr.blocks[0, 0].T)) <= 1e-15
 
 
+@pytest.mark.parametrize("shift", [1e-10, np.nan])
+def test_assemble_refuses_an_asymmetric_diagonal_block(config_b, monkeypatch, shift):
+    # the entries below the diagonal of block (0, 0) shifted through its
+    # positive half only: the identity defect is untouched and the
+    # definitional policy runs no kernel, so only the self-symmetry check
+    # sees it, before the upper triangle would overwrite the shifted entries
+    pullback = grunsky.faber_pullback_block
+
+    def perturbed(config, j, i, trunc, n_samples=None):
+        b, defect = pullback(config, j, i, trunc)
+        if (j, i) == (0, 0):
+            b[np.tril_indices(trunc, -1)] += shift
+        return b, defect
+
+    monkeypatch.setattr(grunsky, "faber_pullback_block", perturbed)
+    with pytest.raises(MethodDisagreement, match=r"^block \(0, 0\) is not symmetric"):
+        assemble(config_b, 8, policy="definitional", method_tol=1e-12)
+
+
 def _two_disks(r1, r2, gap):
     """Disks of radii r1, r2 whose edges are `gap` apart, on a tilted line."""
     d = r1 + r2 + gap
@@ -433,9 +524,10 @@ def test_two_disk_spectrum_is_exact(r1, r2, gap):
     # each twice; from gap 0.03 on, T = 256 resolves the first six pairs
     cfg, d = _two_disks(r1, r2, gap)
     rho = two_disk_modulus(r1, r2, d)
-    sigma = np.linalg.svd(assemble(cfg, 256, policy="definitional").full_matrix(),
-                          compute_uv=False)
+    gr = assemble(cfg, 256, policy="definitional")
+    sigma = np.linalg.svd(gr.full_matrix(), compute_uv=False)
     assert abs(sigma[0] - rho) <= 1e-14
+    assert abs(operator_norm(gr) - rho) <= 1e-14  # by Lanczos, nT = 512
     if gap >= 0.03:
         pairs = np.repeat(rho ** np.arange(1, 7), 2)
         assert np.max(np.abs(sigma[:12] - pairs)) <= 1e-14
@@ -446,9 +538,14 @@ def test_two_disk_norm_converges_near_contact():
     # -5.3e-6 and -1.2e-11 at T = 64, 128 and 256
     cfg, d = _two_disks(1.0, 1.0, 0.003)
     rho = two_disk_modulus(1.0, 1.0, d)
-    hist = norm_history(assemble(cfg, 256), (64, 128, 256))
+    gr = assemble(cfg, 256)
+    hist = norm_history(gr, (64, 128, 256))
     assert hist[64] < hist[128] < hist[256] <= rho + 1e-14
     assert abs(hist[256] - rho) <= 1e-10
+    # Lanczos finds the top of a pair (rho, rho) as the SVD does
+    sigma = np.linalg.svd(gr.full_matrix(), compute_uv=False)
+    assert sigma[0] - sigma[1] <= 1e-14
+    assert abs(hist[256] - sigma[0]) <= 1e-14 * sigma[0]
 
 
 def test_orthonormal_rescale():
@@ -512,12 +609,18 @@ def test_write_read_round_trip(tmp_path, config_b):
     for j in range(2):
         for i in range(2):
             np.testing.assert_array_equal(back.blocks[j][i], gr.blocks[j][i])
-    # rows keep the entry-by-entry format "re,im re,im ..."
+    # rows keep the entry-by-entry format "re,im re,im ...", only blocks
+    # j <= i are written, and row n of a diagonal block starts at column n
     lines = path.read_text().splitlines()
-    first = lines.index("block 0 0 method=%s agreement=%.3g"
-                        % (gr.method_tags[0][0], gr.agreement[0, 0])) + 1
-    for row, line in zip(gr.blocks[0][0], lines[first:first + gr.trunc]):
-        assert line == " ".join("%.17g,%.17g" % (c.real, c.imag) for c in row)
+    assert "storage = upper" in lines
+    assert [ln.split()[1:3] for ln in lines if ln.startswith("block ")] == \
+        [["0", "0"], ["0", "1"], ["1", "1"]]
+    for j, i in [(0, 0), (0, 1)]:
+        first = lines.index("block %d %d method=%s agreement=%.3g"
+                            % (j, i, gr.method_tags[j][i], gr.agreement[j, i])) + 1
+        for n, (row, line) in enumerate(zip(gr.blocks[j][i], lines[first:first + gr.trunc])):
+            entries = row[n:] if i == j else row
+            assert line == " ".join("%.17g,%.17g" % (c.real, c.imag) for c in entries)
 
 
 def _export_lines(gr):
@@ -551,9 +654,9 @@ def test_read_matrix_refuses_method_agreement_mismatch(config_b, policy, swap):
     # an off-diagonal block is always checked by symmetry; a file that tags
     # it otherwise is refused
     lines = _export_lines(assemble(config_b, 4, policy=policy))
-    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     lines[start] = lines[start].replace(*swap)
-    with pytest.raises(ValueError, match="block 1 0"):
+    with pytest.raises(ValueError, match="block 0 1"):
         read_matrix(io.StringIO("".join(lines)))
 
 
@@ -573,14 +676,15 @@ def test_read_matrix_refuses_diagonal_tag_mismatch(config_b, policy, swap):
 
 def test_read_matrix_refuses_missing_block(config_b):
     lines = _export_lines(assemble(config_b, 4, policy="definitional"))
-    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     del lines[start : start + 5]  # header and four rows
-    with pytest.raises(ValueError, match="block 1 0"):
+    with pytest.raises(ValueError, match="block 0 1"):
         read_matrix(io.StringIO("".join(lines)))
 
 
-@pytest.mark.parametrize("key", ["n", "trunc"])
+@pytest.mark.parametrize("key", ["n", "trunc", "storage"])
 def test_read_matrix_refuses_a_header_without_a_size(config_b, key):
+    # a file without storage = upper (the full layout) is refused too
     lines = [ln for ln in _export_lines(assemble(config_b, 4, policy="definitional"))
              if not ln.startswith(key + " = ")]
     with pytest.raises(ValueError, match="no %s" % key):
@@ -595,18 +699,40 @@ def test_read_matrix_refuses_another_kind():
 @pytest.mark.parametrize("header", ["block 2 0", "block 0 -1"])
 def test_read_matrix_refuses_a_block_out_of_range(config_b, header):
     lines = _export_lines(assemble(config_b, 4, policy="definitional"))
-    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
-    lines[start] = lines[start].replace("block 1 0", header)
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
+    lines[start] = lines[start].replace("block 0 1", header)
     with pytest.raises(ValueError, match=header + " is out of range"):
         read_matrix(io.StringIO("".join(lines)))
 
 
-def test_read_matrix_refuses_a_repeated_block(config_b):
-    # block 1 0 relabelled as 0 1: the repeat is named, not the block it hides
+def test_read_matrix_refuses_a_block_below_the_diagonal(config_b):
     lines = _export_lines(assemble(config_b, 4, policy="definitional"))
-    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 0 "))
-    lines[start] = lines[start].replace("block 1 0", "block 0 1")
-    with pytest.raises(ValueError, match="block 0 1 appears twice"):
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
+    lines[start] = lines[start].replace("block 0 1", "block 1 0")
+    with pytest.raises(ValueError, match="block 1 0 is below the diagonal"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+@pytest.mark.parametrize("edit, count", [
+    pytest.param(lambda row: "0,0 " + row, 8, id="a-full-row"),
+    pytest.param(lambda row: row.rsplit(" ", 1)[0], 4, id="one-entry-short"),
+])
+def test_read_matrix_refuses_a_diagonal_row_of_the_wrong_length(config_b, edit, count):
+    # row 2 of a diagonal block at T = 4 starts at column 2: it holds
+    # 2 (T - 2 + 1) = 6 numbers
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
+    lines[start + 2] = edit(lines[start + 2].rstrip("\n")) + "\n"
+    with pytest.raises(ValueError, match="block 1 1: row 2 holds %d numbers, not 6" % count):
+        read_matrix(io.StringIO("".join(lines)))
+
+
+def test_read_matrix_refuses_a_repeated_block(config_b):
+    # block 1 1 relabelled as 0 0: the repeat is named, not the block it hides
+    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
+    lines[start] = lines[start].replace("block 1 1", "block 0 0")
+    with pytest.raises(ValueError, match="block 0 0 appears twice"):
         read_matrix(io.StringIO("".join(lines)))
 
 
