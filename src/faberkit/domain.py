@@ -7,6 +7,8 @@ disjoint closed regions whose common exterior (plus the point at infinity) is
 the domain all boundary operators act on.
 """
 
+import cmath
+
 import numpy as np
 from dataclasses import dataclass, field
 from scipy.spatial import cKDTree
@@ -20,8 +22,9 @@ DEFAULT_BOUNDARY_SAMPLES = 4096
 class ConformalMapSpec:
     """Polynomial map w -> center + sum_k coeffs[k-1] * w**k.
 
-    coeffs[0] (the linear coefficient) must be nonzero; injectivity on the
-    extended disk is not enforced here, it is what validate_config checks.
+    The center and coeffs must be finite and coeffs[0] (the linear
+    coefficient) nonzero; injectivity on the extended disk is not enforced
+    here, it is what validate_config checks.
     """
 
     center: complex
@@ -32,6 +35,8 @@ class ConformalMapSpec:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("need at least the linear coefficient")
+        if not all(map(cmath.isfinite, (self.center,) + self.coeffs)):
+            raise ValueError("center and coefficients must be finite")
         if self.coeffs[0] == 0:
             raise ValueError("linear coefficient must be nonzero")
 

@@ -20,16 +20,21 @@ instead, in the variable u = 1/(z - p):
     Phi_m(z) = F_m(u) - F_m(0)
 
 (Curtiss, Amer. Math. Monthly 78, 1971; Pommerenke, Univalent Functions,
-1975).  Its denominator has degree 2d in w, so the coefficients obey a
-recurrence of 2d terms.  The denominator's roots are the nonzero roots of
+1975).  Its coefficients come from one power-series division
+(pseries.divide), a recurrence of 2d terms, since the denominator has
+degree 2d in w.  The denominator's roots are the nonzero roots of
 f(w) = p and the roots of f(w) = z, which lie on or outside |w| = 1 for z
 on or outside the curve, so rounding errors do not grow along the
 recurrence.  The contour-integral oracle that cross-checks both lives
 with the tests.
 """
 
+import cmath
+
 import numpy as np
 from dataclasses import dataclass
+
+from . import pseries
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,9 @@ class FaberPoly:
 class RationalFn:
     """Finite sum of terms coeff / (z - pole)^order, vanishing at infinity.
 
-    Terms with equal (pole, order) are merged and zero terms dropped, so
-    the representation is canonical and equality-friendly.
+    Poles and coefficients must be finite.  Terms with equal (pole, order)
+    are merged and zero terms dropped, so the representation is canonical
+    and equality-friendly.
     """
 
     terms: tuple  # of (pole complex, order int, coeff complex)
@@ -70,10 +76,13 @@ class RationalFn:
     def __post_init__(self):
         merged = {}
         for pole, order, coeff in self.terms:
+            pole, coeff = complex(pole), complex(coeff)
             if order < 1:
                 raise ValueError("pole orders must be >= 1")
-            key = (complex(pole), int(order))
-            merged[key] = merged.get(key, 0j) + complex(coeff)
+            if not (cmath.isfinite(pole) and cmath.isfinite(coeff)):
+                raise ValueError("poles and coefficients must be finite")
+            key = (pole, int(order))
+            merged[key] = merged.get(key, 0j) + coeff
         cleaned = tuple(
             (pole, order, coeff)
             for (pole, order), coeff in sorted(
@@ -156,25 +165,19 @@ def faber_polynomial(spec, m):
 def faber_values(spec, u, trunc):
     """F[t, m-1] = Phi_m(z_t) for m = 1..trunc at the points with 1/(z_t - p) = u[t].
 
-    Equating coefficients of w^n in the generating identity, with
-    q_k(u) = a_k - u [w^k] P^2 (a_k = 0 for k > d) and q_1 = a_1:
-
-        F_0 = 1,
-        F_{n-1} = (n a_n - sum_{k=2..min(2d, n)} q_k F_{n-k}) / a_1.
-
-    One more point, u = 0, gives the constants F_m(0).
+    The generating function is the quotient of P'(w), with [w^v] P' =
+    (v+1) a_{v+1}, by (P(w)/w)(1 - u P(w)), with [w^v] = a_{v+1} -
+    u [w^{v+1}] P^2 (a_k = 0 for k > d); pseries.divide returns its
+    coefficients F_0, ..., F_trunc at every point at once.  One more point,
+    u = 0, gives the constants F_m(0).
     """
     d = spec.degree
-    a = np.zeros(2 * d + trunc + 2, dtype=complex)
+    a = np.zeros(2 * d + 1, dtype=complex)
     a[1 : d + 1] = spec.coeffs
     u = np.append(np.asarray(u, dtype=complex).ravel(), 0)
-    q = a[: 2 * d + 1, None] - np.convolve(a[: d + 1], a[: d + 1])[:, None] * u
-    F = np.empty((trunc + 1, u.size), dtype=complex)
-    F[0] = 1
-    for n in range(2, trunc + 2):
-        k = min(2 * d, n)
-        tail = np.einsum("kt,kt->t", q[2 : k + 1], F[n - k : n - 1][::-1])
-        F[n - 1] = (n * a[n] - tail) / a[1]
+    num = (np.arange(1, d + 1) * a[1 : d + 1])[:, None]
+    den = a[1:, None] - np.convolve(a[: d + 1], a[: d + 1])[1:, None] * u
+    F = pseries.divide(num, den, trunc)
     return (F[1:, :-1] - F[1:, -1:]).T
 
 

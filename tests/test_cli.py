@@ -154,6 +154,45 @@ def test_non_finite_margin_is_input_error(cfg_file, capsys, field, argv):
     assert capsys.readouterr().err == "input error: %s must be positive and finite\n" % field
 
 
+def _with_map(**entry):
+    return dict(TWO_DISKS, maps=[dict(TWO_DISKS["maps"][0], **entry), TWO_DISKS["maps"][1]])
+
+
+FUNCTION = "--function=-2.3,0,1,1,0"
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    pytest.param(TWO_DISKS, ["decompose", "--function=-2.3,0,1,nan,0"],
+                 "poles and coefficients must be finite", id="nan-coefficient"),
+    pytest.param(TWO_DISKS, ["graph-check", "--function=-2.3,inf,1,1,0"],
+                 "poles and coefficients must be finite", id="infinite-pole"),
+    pytest.param(TWO_DISKS, ["graph-check", "--function=-2.3,0,1,inf,0"],
+                 "poles and coefficients must be finite", id="infinite-coefficient"),
+    pytest.param(TWO_DISKS, ["decompose", "--function=-2.3,0,1,inf,0"],
+                 "poles and coefficients must be finite", id="decompose-infinite-coefficient"),
+    pytest.param(_with_map(center=[float("inf"), 0.0]), ["grunsky"],
+                 "center and coefficients must be finite", id="infinite-center"),
+    pytest.param(_with_map(coeffs=[[float("nan"), 0.0]]), ["grunsky"],
+                 "center and coefficients must be finite", id="nan-map-coefficient"),
+    pytest.param(_with_map(center=[-2, 0, 7]), ["validate"],
+                 "complex numbers are [re, im] pairs, got [-2, 0, 7]", id="three-number-pair"),
+    pytest.param(TWO_DISKS, ["graph-check", FUNCTION, "--tol", "nan"],
+                 "--tol must be finite and >= 0", id="nan-tol"),
+    pytest.param(TWO_DISKS, ["graph-check", FUNCTION, "--tol", "-1"],
+                 "--tol must be finite and >= 0", id="negative-tol"),
+])
+def test_malformed_input_is_input_error(cfg_file, tmp_path, capsys, config, argv, message):
+    # each of these used to exit 0 or 1, some after numpy RuntimeWarnings
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        rc = main(argv[:1] + ["--config", cfg_file(config), "--out", str(tmp_path / "out")]
+                  + argv[1:])
+    assert rc == 2
+    assert capsys.readouterr().err == "input error: %s\n" % message
+    assert [str(w.message) for w in record] == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_trunc_out_of_range_is_input_error(cfg_file):
     rc = main(["grunsky", "--config", cfg_file(TWO_DISKS), "--trunc", "0"])
     assert rc == 2
@@ -253,9 +292,9 @@ def test_grunsky_non_finite_blocks_fail_the_check(cfg_file, tmp_path, capsys, po
 @pytest.mark.parametrize("payload, sigma", [
     pytest.param({"maps": [{"center": [-0.9, 0.0], "coeffs": [[1.0, 0.0]]},
                            {"center": [0.9, 0.0], "coeffs": [[1.0, 0.0]]}]},
-                 "8.4950372583495177", id="overlapping-disks"),
+                 "8.4950372583495142", id="overlapping-disks"),
     pytest.param({"maps": [{"center": [0.0, 0.0], "coeffs": [[1.0, 0.0], [0.6, 0.0]]}]},
-                 "70.68425861329456", id="critical-point-inside"),
+                 "70.684258613294602", id="critical-point-inside"),
 ])
 def test_grunsky_says_why_sigma_fails(cfg_file, tmp_path, capsys, payload, sigma):
     # sigma_max >= 1 used to exit 1 with nothing on stderr
@@ -281,16 +320,29 @@ def test_grunsky_at_max_trunc(name, tmp_path):
     assert sigmas[-1] < 1.0
 
 
-def test_grunsky_deterministic(cfg_file, tmp_path):
+# one run of each subcommand, with the flags it reads
+RUNS = {
+    "validate": [],
+    "grunsky": ["--trunc", "6"],
+    "graph-check": ["--function=-2.3,0,1,1,0", "--trunc", "16"],
+    "faber-series": ["--function=-2.3,0,1,1,0", "--trunc", "6"],
+    "decompose": ["--function=-2.3,0,1,1,0;2.2,0,2,1,0"],
+}
+
+
+def _run_bytes(command, config, out, capsys):
+    """Exit code, stdout and the bytes of every file one run writes."""
+    rc = main([command, "--config", config, "--out", str(out)] + RUNS[command])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_deterministic(cfg_file, tmp_path, capsys, command):
     cfg = cfg_file(PERTURBED)
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert main(["grunsky", "--config", cfg, "--trunc", "6",
-                     "--out", str(out)]) == 0
-        outs.append((out / "grunsky_matrix.txt").read_bytes()
-                    + (out / "norm_history.csv").read_bytes())
-    assert outs[0] == outs[1]
+    first = _run_bytes(command, cfg, tmp_path / "a", capsys)
+    assert first[0] == 0 and first[2]
+    assert _run_bytes(command, cfg, tmp_path / "b", capsys) == first
 
 
 def test_graph_check_member(cfg_file, tmp_path, capsys):
@@ -385,18 +437,14 @@ def test_decompose_stray_pole_fails(cfg_file, tmp_path):
     assert rc == 1
 
 
-def test_seed_env_must_be_integer(cfg_file, monkeypatch, tmp_path):
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+def test_seed_env_is_ignored(cfg_file, monkeypatch, tmp_path, capsys, command):
+    # FABERKIT_SEED used to jitter decompose's probe grid, and a value that
+    # was not an integer made every subcommand exit 2
+    cfg = cfg_file(TWO_DISKS)
+    plain = _run_bytes(command, cfg, tmp_path / "plain", capsys)
     monkeypatch.setenv("FABERKIT_SEED", "abc")
-    rc = main(["validate", "--config", cfg_file(TWO_DISKS),
-               "--out", str(tmp_path / "out")])
-    assert rc == 2
-
-
-def test_seed_env_accepted(cfg_file, monkeypatch, tmp_path):
-    monkeypatch.setenv("FABERKIT_SEED", "11")
-    rc = main(["decompose", "--config", cfg_file(TWO_DISKS),
-               "--function=-2.3,0,1,1,0", "--out", str(tmp_path / "out")])
-    assert rc == 0
+    assert _run_bytes(command, cfg, tmp_path / "seeded", capsys) == plain
 
 
 def test_module_entry_point(cfg_file, tmp_path):
