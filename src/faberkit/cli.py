@@ -115,7 +115,10 @@ def cmd_validate(args):
         + ["winding %d = %s" % (i, " ".join(map(str, row)))
            for i, row in enumerate(report.winding)]
         + ["failure: %s" % msg for msg in report.failures]))
-    return 0 if report.passed else 1
+    if report.passed:
+        return 0
+    print("check failed: %s" % report.failures[0], file=sys.stderr)
+    return 1
 
 
 def cmd_grunsky(args):
@@ -148,7 +151,11 @@ def cmd_graph_check(args):
                 for n, *cs in zip(range(1, args.trunc + 1), report.u[j], report.v[j],
                                   report.predicted[j])))
     print("graph residual = %s" % _fmt(report.residual))
-    return 0 if passed else 1
+    if passed:
+        return 0
+    print("check failed: graph residual = %s is not within tol = %s"
+          % (_fmt(report.residual), _fmt(args.tol)), file=sys.stderr)
+    return 1
 
 
 def cmd_faber_series(args):

@@ -47,19 +47,23 @@ def sample_to_coeffs(fn, trunc):
     from the decay across the fold band around Nyquist, exceeds FOLD_TOL of
     the spectral peak.  Raises AliasError, naming N and the estimate, where
     the samples reach SAMPLE_BUDGET values unresolved, and at once where
-    they are not all finite: no N makes them so.
+    they are not all finite: no N makes them so.  fn and the transform run
+    with numpy's divide and invalid warnings off: in the package's samplers
+    both end in that refusal.
     """
     n = _start_points(trunc)
     kept = None
     while True:
         w = np.exp(2j * np.pi * np.arange(n) / n)
-        if kept is None:
-            samples = fn(w)
-        else:
-            odd = fn(w[1::2])
-            samples = np.stack([kept, odd], axis=1).reshape((n,) + odd.shape[1:])
-        spec = np.fft.fft(samples, axis=0)
-        spec /= n
+        # overflow still warns: it can give a finite sample (1/inf = 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if kept is None:
+                samples = fn(w)
+            else:
+                odd = fn(w[1::2])
+                samples = np.stack([kept, odd], axis=1).reshape((n,) + odd.shape[1:])
+            spec = np.fft.fft(samples, axis=0)
+            spec /= n
         mag = np.abs(spec)
         peak = float(np.max(mag))
         if not np.isfinite(peak):

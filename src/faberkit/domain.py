@@ -11,11 +11,24 @@ import cmath
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.spatial import cKDTree
 
 DEFAULT_EXT_MARGIN = 0.05
 DEFAULT_SEPARATION = 1e-3
 DEFAULT_BOUNDARY_SAMPLES = 4096
+_CKDTREE = None
+
+
+def cKDTree(data):
+    """scipy.spatial.cKDTree(data), imported on the first call.
+
+    Loading scipy.spatial costs more than the rest of the package, and only
+    validate_config needs the tree.  A module-level function, so the name
+    can be patched like any other.
+    """
+    global _CKDTREE
+    if _CKDTREE is None:
+        from scipy.spatial import cKDTree as _CKDTREE
+    return _CKDTREE(data)
 
 
 @dataclass(frozen=True)

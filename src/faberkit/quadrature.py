@@ -31,7 +31,6 @@ may overflow, take the far-field value (sum of weights) / (z - c).
 import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
-from scipy.spatial.distance import cdist
 
 from .domain import evaluate_map, map_derivative
 from .errors import TooCloseToContour
@@ -40,6 +39,20 @@ ALIAS_TOL = 1e-8
 DEFAULT_DMIN = 0.05
 DEFAULT_NQ = 1024
 _MIN_NQ = 64
+_CDIST = None
+
+
+def cdist(xa, xb, metric):
+    """scipy.spatial.distance.cdist, imported on the first call.
+
+    Loading scipy.spatial costs more than the rest of the package, and only
+    cauchy_eval needs cdist.  A module-level function, so the name can be
+    patched like any other.
+    """
+    global _CDIST
+    if _CDIST is None:
+        from scipy.spatial.distance import cdist as _CDIST
+    return _CDIST(xa, xb, metric)
 
 
 def _check_nq(n):

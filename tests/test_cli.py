@@ -84,11 +84,16 @@ def test_validate_pass(cfg_file, tmp_path):
     assert "min_curve_distance = 2" in text
 
 
-def test_validate_overlap_fails(cfg_file, tmp_path):
+def test_validate_overlap_fails(cfg_file, tmp_path, capsys):
+    # the verdict used to be only in validation.txt, with nothing on stderr
     out = tmp_path / "out"
     rc = main(["validate", "--config", cfg_file(OVERLAP), "--out", str(out)])
     assert rc == 1
-    assert "passed = false" in (out / "validation.txt").read_text()
+    text = (out / "validation.txt").read_text()
+    assert "passed = false" in text
+    first = text.split("\nfailure: ", 1)[1].splitlines()[0]
+    assert capsys.readouterr().err == "check failed: %s\n" % first
+    assert first == "maps 0/1: margin curves come within 0 < separation 0.001"
 
 
 def test_validate_overlap_reports_zero_distance(cfg_file, tmp_path):
@@ -280,8 +285,10 @@ def test_grunsky_near_contact_exits_0_quietly(cfg_file, tmp_path, capsys, payloa
 
 @pytest.mark.parametrize("policy", ["dual", "definitional"])
 def test_grunsky_non_finite_blocks_fail_the_check(cfg_file, tmp_path, capsys, policy):
-    # NaN blocks used to reach the SVD, which died with a LinAlgError
-    with np.errstate(all="ignore"):
+    # NaN blocks used to reach the SVD, which died with a LinAlgError; the
+    # sampler's division by zero used to warn before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["grunsky", "--config", cfg_file(NESTED), "--trunc", "8",
                    "--policy", policy, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -350,6 +357,7 @@ def test_graph_check_member(cfg_file, tmp_path, capsys):
     rc = main(["graph-check", "--config", cfg_file(TWO_DISKS),
                "--function=-2.3,0,1,1,0", "--trunc", "16", "--out", str(out)])
     assert rc == 0
+    assert capsys.readouterr().err == ""
     text = (out / "graph_check.txt").read_text()
     assert "passed = true" in text
     vectors = (out / "graph_vectors.csv").read_text().splitlines()
@@ -357,14 +365,21 @@ def test_graph_check_member(cfg_file, tmp_path, capsys):
     assert len(vectors) == 1 + 2 * 16
 
 
-def test_graph_check_detects_nonmember(cfg_file, tmp_path):
-    # extra pole between the regions: not on the graph, exit 1
+def test_graph_check_detects_nonmember(cfg_file, tmp_path, capsys):
+    # extra pole between the regions: not on the graph, exit 1, and stderr
+    # says so against --tol (it used to stay empty)
     out = tmp_path / "out"
     rc = main(["graph-check", "--config", cfg_file(TWO_DISKS),
                "--function=-2.3,0,1,1,0;0,0,1,1,0", "--trunc", "16",
                "--out", str(out)])
     assert rc == 1
-    assert "passed = false" in (out / "graph_check.txt").read_text()
+    text = (out / "graph_check.txt").read_text()
+    assert "passed = false" in text
+    residual = text.split("\nresidual = ", 1)[1].splitlines()[0]
+    assert 0.42 < float(residual) < 0.44
+    assert capsys.readouterr().err == (
+        "check failed: graph residual = %s is not within tol = %s\n"
+        % (residual, "%.17g" % 1e-7))
 
 
 @pytest.mark.parametrize("q", [-2.98, -2.995])
@@ -456,6 +471,40 @@ def test_module_entry_point(cfg_file, tmp_path):
          "--config", cfg_file(TWO_DISKS), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert rc.returncode == 0
+
+
+# the child imports faberkit, then runs each argv through cli.main, and
+# prints whether scipy.spatial was loaded after the import and after each run
+SPATIAL_CHILD = """
+import json, sys
+import faberkit
+from faberkit.cli import main
+loaded = ["scipy.spatial" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append("scipy.spatial" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    ([["grunsky", "--trunc", "16"], ["graph-check", "--function=-2.3,0,1,1,0"],
+      ["faber-series", "--function=-2.3,0,1,1,0"]], [False, False, False, False]),
+    ([["validate"]], [False, True]),
+    ([["decompose", "--function=-2.3,0,1,1,0;2.2,0,2,1,0"]], [False, True]),
+], ids=["grunsky-graph-check-faber-series", "validate", "decompose"])
+def test_scipy_spatial_loads_on_first_use(tmp_path, commands, loaded):
+    # import faberkit used to load scipy.spatial, most of its start-up time;
+    # now only validate's KD-tree and decompose's cdist load it, in a fresh
+    # interpreter that imports the same faberkit as this one
+    src = os.path.dirname(os.path.dirname(faberkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    config = str(CONFIGS / "two_disks.json")
+    argvs = [argv + ["--config", config, "--out", str(tmp_path / "out")] for argv in commands]
+    run = subprocess.run([sys.executable, "-c", SPATIAL_CHILD, json.dumps(argvs)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == loaded
 
 
 @pytest.mark.parametrize("argv", [["validate", "--trunc", "8"],

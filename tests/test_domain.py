@@ -14,6 +14,7 @@ from faberkit import (
     validate_config,
     winding_number,
 )
+from faberkit import domain
 from faberkit.domain import _curve_self_intersects, _pairwise_min_distance
 
 
@@ -89,6 +90,28 @@ def test_validate_config_rejects_overlapping_regions():
     )
     report = validate_config(cfg)
     assert not report.passed
+
+
+def test_validate_config_builds_trees_through_domain_ckdtree(config_c, monkeypatch):
+    # domain.cKDTree imports scipy.spatial on its first call and stays a
+    # module name that can be patched, as quadrature.cdist does
+    plain = validate_config(config_c)
+    trees = []
+    ckdtree = domain.cKDTree
+
+    def counting_ckdtree(data):
+        trees.append(len(data))
+        return ckdtree(data)
+
+    monkeypatch.setattr(domain, "cKDTree", counting_ckdtree)
+    report = validate_config(config_c)
+    # one tree per curve for its crossing test, and one per pair of curves
+    # at each of the two radii for their distance
+    assert trees == [domain.DEFAULT_BOUNDARY_SAMPLES] * 9
+    assert report.failures == plain.failures == []
+    assert report.map_reports == plain.map_reports
+    for name in ("curve_distances", "margin_distances", "winding"):
+        np.testing.assert_array_equal(getattr(report, name), getattr(plain, name))
 
 
 def test_validate_config_margin_monotonic(config_b):
