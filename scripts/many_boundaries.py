@@ -5,9 +5,9 @@ Usage: python3 scripts/many_boundaries.py [--n 4 8 12] [--trunc 64 128 256]
 n boundaries alternate unit disks with w + 0.15 w^2 (ext_margin 0.05).
 Their centers sit on a circle sized so that neighbours are as far apart as
 on the 12-boundary ring of radius 4.58.  For each n and truncation T the
-script runs what `faberkit grunsky` runs: assemble under the default
-policy, the sigma history (norm_history), write_matrix into a temporary
-file and read_matrix back.  It prints the wall time of each stage,
+script runs what `faberkit grunsky` runs: assemble with its
+cross-checks, the sigma history (norm_history), write_matrix into a
+temporary file and read_matrix back.  It prints the wall time of each stage,
 sigma_max, the peak RSS of the process so far and the size of the export.
 """
 

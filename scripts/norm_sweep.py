@@ -36,7 +36,7 @@ def main():
     rows = []
     for path in sorted(cfg_dir.glob("*.json")):
         config = load_config_file(path)
-        gr = assemble(config, args.trunc, policy="definitional")
+        gr = assemble(config, args.trunc)
         hist = norm_history(gr, truncs=truncs)
         for t in truncs:
             rows.append((path.stem, t, hist[t]))

@@ -30,7 +30,7 @@ def main():
         config = MultiDomainConfig(
             maps=(ConformalMapSpec(center=-d / 2, coeffs=(1.0,)),
                   ConformalMapSpec(center=d / 2, coeffs=(1.0,))))
-        sigma = operator_norm(assemble(config, args.trunc, policy="definitional"))
+        sigma = operator_norm(assemble(config, args.trunc))
         rho = math.exp(-math.acosh((d * d - 2.0) / 2.0))
         print("%-8.3f %-18.12f %-18.12f %-10.3g" % (d, sigma, rho, sigma - rho))
 

@@ -178,7 +178,7 @@ def graph_check(config, h, trunc, gr=None):
     a larger truncation, and its entries past trunc count as zero).
     """
     if gr is None:
-        gr = assemble(config, trunc, policy="definitional")
+        gr = assemble(config, trunc)
     if gr.trunc < trunc:
         raise ValueError("matrix truncation is smaller than requested")
     u, v = _boundary_halves(config, h, trunc)

@@ -36,8 +36,8 @@ MAX_TRUNC = 256
 # every subcommand and the flags it reads, besides --config and --out
 FLAGS = {
     "validate": (),
-    "grunsky": ("trunc", "policy"),
-    "graph-check": ("trunc", "policy", "tol", "function"),
+    "grunsky": ("trunc",),
+    "graph-check": ("trunc", "tol", "function"),
     "faber-series": ("trunc", "function"),
     "decompose": ("function",),
 }
@@ -57,8 +57,8 @@ def load_config_file(path):
     maps = tuple(ConformalMapSpec(center=_pair(entry["center"]),
                                   coeffs=tuple(_pair(c) for c in entry["coeffs"]))
                  for entry in data["maps"])
-    return MultiDomainConfig(maps=maps, ext_margin=float(data.get("ext_margin", 0.05)),
-                             separation=float(data.get("separation", 1e-3)))
+    margins = {key: float(data[key]) for key in ("ext_margin", "separation") if key in data}
+    return MultiDomainConfig(maps=maps, **margins)
 
 
 def parse_polespec(text):
@@ -122,7 +122,7 @@ def cmd_validate(args):
 
 
 def cmd_grunsky(args):
-    gr = grunsky.assemble(args.config, args.trunc, policy=args.policy)
+    gr = grunsky.assemble(args.config, args.trunc)
     history = grunsky.norm_history(gr)
     with _open_out(args, "grunsky_matrix.txt") as fh:
         grunsky.write_matrix(gr, fh, sigma_history=history)
@@ -137,7 +137,7 @@ def cmd_grunsky(args):
 
 
 def cmd_graph_check(args):
-    gr = grunsky.assemble(args.config, args.trunc, policy=args.policy)
+    gr = grunsky.assemble(args.config, args.trunc)
     report = analysis.graph_check(args.config, args.function, args.trunc, gr)
     passed = report.residual <= args.tol
     _write(args, "graph_check.txt", "graph_check", [
@@ -205,8 +205,6 @@ def build_parser():
             p.add_argument("--trunc", type=int, default=16)
         if "tol" in flags:
             p.add_argument("--tol", type=float, default=1e-7)
-        if "policy" in flags:
-            p.add_argument("--policy", default="dual", choices=["dual", "definitional"])
         if "function" in flags:
             p.add_argument("--function", required=True,
                            help="rational function as 're,im,order,cre,cim;...' "

@@ -42,13 +42,13 @@ One route computes the blocks and two independent ones check them:
   The two blocks sample different maps through different Faber
   functions, so each checks the other's sampling and FFT.
 
-assemble checks every off-diagonal pair by symmetry, and every diagonal
-block by the kernel series unless asked for the definitional route alone.
-The same symmetry holds inside each diagonal block, which assemble checks
-too.  Once the checks pass it keeps one triangle of the stacked matrix: the
-lower one becomes the transpose of the upper, so the matrix in memory is
-exactly complex-symmetric, and the export (write_matrix, read_matrix)
-stores the upper triangle alone.
+assemble checks every off-diagonal pair by symmetry and every diagonal
+block by the kernel series, whatever the caller asks.  The same symmetry
+holds inside each diagonal block, which assemble checks too.  Once the
+checks pass it keeps one triangle of the stacked matrix: the lower one
+becomes the transpose of the upper, so the matrix in memory is exactly
+complex-symmetric, and the export (write_matrix, read_matrix) stores the
+upper triangle alone.
 
 Entries in the orthonormal bases {z^{-m}/sqrt(pi m)}, {z^n/sqrt(pi n)}
 are G_nm = sqrt(n/m) b_nm; operator norms are singular values of the
@@ -134,11 +134,9 @@ def orthonormal_from_monomial(b):
     return np.sqrt(n_idx[:, None] / m_idx[None, :]) * b
 
 
-def _method_tag(j, i, gap):
-    """The routes behind block (j, i) with cross-check gap `gap` (nan: one route)."""
-    if j != i:
-        return "definitional+symmetry"
-    return "definitional" if np.isnan(gap) else "definitional+kernel-series"
+def _method_tag(j, i):
+    """The routes behind block (j, i), fixed by its position."""
+    return "definitional+kernel-series" if j == i else "definitional+symmetry"
 
 
 @dataclass
@@ -147,9 +145,8 @@ class GrunskyMatrix:
 
     blocks[j, i] (also blocks[j][i]) is the (j, i) block, of shape
     (trunc, trunc); agreement[j, i] is its cross-check gap: max|G_ji - G_ij^T|
-    off the diagonal, the kernel-series gap on it, nan when only the
-    definitional route ran there.  identity_defect is the worst
-    negative-frequency recovery error seen while building the blocks.
+    off the diagonal, the kernel-series gap on it.  identity_defect is the
+    worst negative-frequency recovery error seen while building the blocks.
     """
 
     blocks: np.ndarray  # (n, n, trunc, trunc)
@@ -167,8 +164,7 @@ class GrunskyMatrix:
     @property
     def method_tags(self):
         """method_tags[j][i] names the routes that built block (j, i)."""
-        return [[_method_tag(j, i, gap) for i, gap in enumerate(row)]
-                for j, row in enumerate(self.agreement)]
+        return [[_method_tag(j, i) for i in range(self.n)] for j in range(self.n)]
 
     def full_matrix(self, trunc=None):
         """The stacked (n t) x (n t) matrix of the leading t x t blocks, a new array."""
@@ -184,34 +180,34 @@ class GrunskyMatrix:
         return np.sqrt(n_idx[None, :] / n_idx[:, None]) * self.blocks[j, i]
 
 
-def assemble(config, trunc, policy="dual", method_tol=DEFAULT_METHOD_TOL):
-    """Build all blocks, cross-checking them per the policy.
+def assemble(config, trunc, policy=None, method_tol=DEFAULT_METHOD_TOL):
+    """Build all blocks, each checked against an independent construction.
 
-    Every off-diagonal pair is checked by symmetry under either policy: its
-    gap max|G_ji - G_ij^T| is the agreement of both blocks.  policy "dual"
-    also checks every diagonal block against the kernel series;
-    "definitional" runs only the sampling route there.  Under either
-    policy each diagonal block must be symmetric, max|G_jj - G_jj^T| within
-    method_tol.  A gap above method_tol, or an identity-recovery defect
-    above it, raises MethodDisagreement; so does a gap or defect that is
-    not finite.  An extraction that fails its bound raises AliasError
-    naming the block.
+    Every diagonal block is compared with its kernel series
+    (diagonal_block_series), and every off-diagonal pair by symmetry: its
+    gap max|G_ji - G_ij^T| is the agreement of both blocks.  Each diagonal
+    block must also be symmetric, max|G_jj - G_jj^T| within method_tol.  A
+    gap above method_tol, or an identity-recovery defect above it, raises
+    MethodDisagreement; so does a gap or defect that is not finite.  An
+    extraction that fails its bound raises AliasError naming the block.
+
+    policy is ignored: the benchmark's workloads (perfbench/workloads.py)
+    still pass policy="definitional", and this keyword is kept only for
+    them.
 
     The blocks returned keep their upper triangle as computed, entry for
     entry, and the lower triangle is its transpose: blocks[i, j] =
     blocks[j, i].T for j < i, and each diagonal block is symmetric.
     """
-    if policy not in ("dual", "definitional"):
-        raise ValueError("unknown method policy: %r" % (policy,))
     n = config.n
     blocks = np.empty((n, n, trunc, trunc), dtype=complex)
-    agreement = np.full((n, n), np.nan)
+    agreement = np.empty((n, n))
     worst_defect = 0.0
     try:
         for j, i in itertools.product(range(n), repeat=2):
             b, defect = faber_pullback_block(config, j, i, trunc)
             worst_defect = np.maximum(worst_defect, defect)  # keeps a NaN
-            if policy == "dual" and i == j:
+            if i == j:
                 agreement[j, j] = np.max(np.abs(b - diagonal_block_series(config.maps[j], trunc)))
                 if not agreement[j, j] <= method_tol:
                     raise MethodDisagreement(
@@ -346,10 +342,8 @@ def write_matrix(gr, fileobj, sigma_history=None):
     seps[:, 0], seps[-1, 1] = ord(","), ord("\n")
     rows_per_chunk = max(1, _CHUNK_FLOATS // seps.size)
     for j, i in itertools.combinations_with_replacement(range(gr.n), 2):
-        gap = gr.agreement[j, i]
-        gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
-        fileobj.write("block %d %d method=%s agreement=%s\n"
-                      % (j, i, _method_tag(j, i, gap), gap_txt))
+        fileobj.write("block %d %d method=%s agreement=%.3g\n"
+                      % (j, i, _method_tag(j, i), gr.agreement[j, i]))
         block = np.asarray(gr.blocks[j, i], dtype=complex)
         for start in range(0, gr.trunc, rows_per_chunk):
             stop = min(start + rows_per_chunk, gr.trunc)
@@ -374,14 +368,17 @@ def _block_header(line, n):
     try:
         j, i = int(parts[1]), int(parts[2])
         meta = dict(p.split("=", 1) for p in parts[3:])
-        gap = float(meta.get("agreement", "nan"))
-    except (IndexError, ValueError):
+        gap = float(meta["agreement"])
+    except (IndexError, KeyError, ValueError):
         raise ValueError("malformed block header: %s" % line.strip()) from None
     if not (0 <= j < n and 0 <= i < n):
         raise ValueError("block %d %d is out of range for n = %d" % (j, i, n))
-    if meta.get("method") != _method_tag(j, i, gap):
-        raise ValueError("block %d %d: method=%s does not match agreement=%s"
-                         % (j, i, meta.get("method"), meta.get("agreement")))
+    if meta.get("method") != _method_tag(j, i):
+        raise ValueError("block %d %d: method=%s, not %s"
+                         % (j, i, meta.get("method"), _method_tag(j, i)))
+    if not np.isfinite(gap):
+        raise ValueError("block %d %d: agreement=%s is not finite"
+                         % (j, i, meta["agreement"]))
     return j, i, gap
 
 
@@ -413,8 +410,8 @@ def read_matrix(fileobj):
     transpose, agreement included.  A file of another kind, a header
     without n or trunc or storage = upper, a block below the diagonal, and
     a block that is out of range, repeated, missing, short, has a row of
-    the wrong length, is tagged against its agreement or holds a
-    non-finite entry raise ValueError.
+    the wrong length, has a method= tag other than its position fixes, a
+    non-finite agreement= or a non-finite entry raise ValueError.
     """
     lines = iter(fileobj)
     if next(lines, "").rstrip("\n") != "faberkit.v1":

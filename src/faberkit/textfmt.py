@@ -17,8 +17,10 @@ y carries two long double roundings, so it is within _ROUND_ERR of the exact
 mantissa).  Both round to the same integer unless y lies within _ROUND_ERR
 of a half-integer, so every other D is exact.  Those near-ties (about 2% of
 uniformly spread digits), a log10 that lands on the wrong side of an integer
-(y outside [1e16, 1e17)), a rounding that carries into the next decade and
-the non-finite values take '%.17g' itself.  Where long double is plain
+(y outside [1e16, 1e17)), a rounding that carries into the next decade, the
+fixed notation with the point after digit 2 to 17 (10 <= |v| < 1e17, which
+no export reaches while sigma_max < 10: every entry is at most sigma_max)
+and the non-finite values take '%.17g' itself.  Where long double is plain
 double _ROUND_ERR is about 22, every entry takes that fallback, and the bytes
 stay the same.
 
@@ -86,17 +88,12 @@ _SIGN_PREFIX = _words([s + p for p in ["", "0.", "0.0", "0.00", "0.000"] for s i
 # %g writes -4 <= e < 17 in fixed notation, the rest as d.ddde+XX
 _EXPONENT = _words(["" if -4 <= e <= 16 else "e%+03d" % e for e in range(_EMIN, _EMAX + 1)],
                    _U64)
-# fixed notation with e >= 1 moves the point from after the first digit to
-# after digit e: _MOVE_POINT[e] reorders the 18 digit-and-point bytes
-_MOVE_POINT = np.array([[0] + list(range(2, e + 2)) + [1] + list(range(e + 2, 18))
-                        for e in range(17)])
 
 # one 32-byte row per entry, as four words:
 #   0: sign, prefix (5 bytes), first digit, point
 #   1, 2: sixteen more digits
 #   3: exponent (5 bytes), separator
 # NUL bytes are dropped at the end.
-_DIGITS = slice(6, 24)  # first digit, point, sixteen digits
 _SEP = 29
 
 
@@ -120,7 +117,8 @@ def format_g17(values, seps):
         d = np.rint(y)
         D = d.astype(np.int64)
         fallback = ~np.isfinite(v) | regular & (
-            ~(np.abs(y - d) < 0.5 - _ROUND_ERR) | (y < 1e16) | (D >= 10 ** 17))
+            ~(np.abs(y - d) < 0.5 - _ROUND_ERR) | (y < 1e16) | (D >= 10 ** 17)
+            | (e >= 1) & (e <= 16))
     special = ~regular | fallback  # zero, or written by the fallback
     D[special] = 0
     e[special] = 0
@@ -135,24 +133,12 @@ def format_g17(values, seps):
         quads[:, 2 + k] = _QUADS[groups[k] + 10000 * stripped]
         stripped &= groups[k] == 0
 
-    fixed = (e >= -4) & (e <= 16)
-    small = fixed & (e < 0)
+    small = (e >= -4) & (e < 0)
     words = out.view(_U64)
     words[:, 0] = (_SIGN_PREFIX[np.signbit(v) + 2 * np.where(small, -e, 0)]
                    | (top + ord("0")).astype(np.uint64) << 48
                    | ((rest != 0) & ~small).astype(np.uint64) * ord(".") << 56)
     words[:, 3] = _EXPONENT[e - _EMIN] | sep.astype(np.uint64) << 40
-
-    moved = np.flatnonzero(fixed & (e >= 1))
-    if moved.size:
-        em = e[moved]
-        part = np.take_along_axis(out[moved, _DIGITS], _MOVE_POINT[em], axis=1)
-        # digits of the integer part were stripped as trailing zeros
-        col = np.arange(18)
-        part[(col >= 1) & (col <= em[:, None]) & (part == 0)] = ord("0")
-        part[np.arange(moved.size), em + 1] = np.where(
-            D[moved] % 10 ** (16 - em) != 0, ord("."), 0)
-        out[moved, _DIGITS] = part
 
     rows = np.flatnonzero(fallback)
     if rows.size:

@@ -233,10 +233,8 @@ def write_matrix_by_percent(gr, fileobj, sigma_history=None):
     fileobj.write("identity_defect = %.3g\n" % gr.identity_defect)
     for j in range(gr.n):
         for i in range(j, gr.n):  # the upper triangle: blocks j <= i
-            gap = gr.agreement[j, i]
-            gap_txt = "nan" if np.isnan(gap) else "%.3g" % gap
-            fileobj.write("block %d %d method=%s agreement=%s\n"
-                          % (j, i, gr.method_tags[j][i], gap_txt))
+            fileobj.write("block %d %d method=%s agreement=%.3g\n"
+                          % (j, i, gr.method_tags[j][i], gr.agreement[j, i]))
             for n, row in enumerate(gr.blocks[j][i]):
                 # a diagonal block's row n (from 0) starts at column n
                 entries = row[n:] if i == j else row

@@ -49,7 +49,7 @@ def configs(config_a, config_b, config_c):
 
 @pytest.fixture(scope="module")
 def assembled(configs):
-    return {key: assemble(cfg, 64, policy="definitional")
+    return {key: assemble(cfg, 64)
             for key, cfg in configs.items()}
 
 
@@ -108,7 +108,7 @@ def test_criterion_05_energy_identities(config_a, single_poly):
     t = 48
     m_idx = np.arange(1, t + 1)
     worst_single = 0.0
-    gr1 = assemble(single_poly, t, policy="definitional")
+    gr1 = assemble(single_poly, t)
     for _ in range(20):
         a = np.zeros(8, complex)
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -119,7 +119,7 @@ def test_criterion_05_energy_identities(config_a, single_poly):
         g_sq = float(np.sum(np.pi * m_idx * np.abs(gh[0]) ** 2))
         worst_single = max(worst_single, abs(lhs - (ext + g_sq)) / lhs)
     worst_block = 0.0
-    gr2 = assemble(config_a, t, policy="definitional")
+    gr2 = assemble(config_a, t)
     for j in range(2):
         seqs = [np.zeros(t, complex) for _ in range(2)]
         a = np.zeros(t, complex)
@@ -190,7 +190,7 @@ def test_criterion_09_cross_method_agreement(configs):
     # with each other's transpose
     worst = 0.0
     for cfg in configs.values():
-        gr = assemble(cfg, 16, policy="dual")
+        gr = assemble(cfg, 16)
         worst = max(worst, float(np.nanmax(gr.agreement)))
     report(9, "cross-method agreement", worst <= 1e-8, "worst gap %.3g" % worst)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from faberkit import (
     AliasError,
     ConformalMapSpec,
+    MethodDisagreement,
     MultiDomainConfig,
     PoleOutsideRegions,
     RationalFn,
@@ -26,6 +27,7 @@ from faberkit import (
     faber_coefficients,
     faber_partial_sum_error,
     graph_check,
+    grunsky,
     norm_history,
     probe_grid,
     projection_component,
@@ -219,8 +221,19 @@ def test_graph_check_detects_stray_pole(config_a):
     assert rep.residual > 0.05
 
 
+def test_graph_check_cross_checks_the_matrix_it_assembles(config_b, monkeypatch):
+    # without gr, graph_check assembles G with every check, the diagonal
+    # kernel series included
+    kernel = grunsky.diagonal_block_series
+    monkeypatch.setattr(grunsky, "diagonal_block_series",
+                        lambda spec, trunc: kernel(spec, trunc) + 1e-3)
+    h = RationalFn.single(2.2, 1, 1.0)
+    with pytest.raises(MethodDisagreement, match=r"^block \(0, 0\): methods differ"):
+        graph_check(config_b, h, 16)
+
+
 def test_graph_check_with_precomputed_matrix(config_b):
-    gr = assemble(config_b, 24, policy="definitional")
+    gr = assemble(config_b, 24)
     h = RationalFn.single(2.2, 1, 1.0)
     rep = graph_check(config_b, h, 16, gr=gr)
     assert rep.residual < 1e-10
@@ -231,7 +244,7 @@ def test_graph_check_with_precomputed_matrix(config_b):
 def test_graph_check_prediction_matches_apply_grunsky(config_b):
     # a matrix assembled beyond the requested truncation: the leading blocks
     # give what apply_grunsky gives with the whole matrix and zero padding
-    gr = assemble(config_b, 24, policy="definitional")
+    gr = assemble(config_b, 24)
     h = RationalFn(terms=((-1.95, 1, 1.0), (2.1, 2, 0.5 - 0.5j)))
     rep = graph_check(config_b, h, 16, gr=gr)
     assert rep.u.shape == rep.v.shape == rep.predicted.shape == (2, 16)
@@ -343,7 +356,7 @@ def test_dirichlet_norm_area_single_region(single_affine):
 def test_energy_identity_single_boundary(single_poly):
     # ||H||^2 = ||faber image||^2 over the exterior + ||Gr H||^2
     rng = np.random.default_rng(3)
-    gr = assemble(single_poly, 48, policy="definitional")
+    gr = assemble(single_poly, 48)
     for _ in range(3):
         a = np.zeros(8, complex)
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -357,7 +370,7 @@ def test_energy_identity_single_boundary(single_poly):
 def test_energy_identity_block(config_b):
     # same split for one boundary of a multiply connected exterior
     rng = np.random.default_rng(5)
-    gr = assemble(config_b, 48, policy="definitional")
+    gr = assemble(config_b, 48)
     for j in range(2):
         seqs = np.zeros((2, 48), complex)
         seqs[j, :6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -397,7 +410,7 @@ def test_admissible_maps_meet_acceptance_tolerances(cfg, seed):
     # identity at the tolerances of tests/test_acceptance.py, at T = 64
     assert validate_config(cfg).passed
     t = 64
-    gr = assemble(cfg, t, policy="dual")
+    gr = assemble(cfg, t)
     assert gr.identity_defect <= 1e-10
     assert np.max(gr.agreement) <= 1e-8
     hist = norm_history(gr)
@@ -459,8 +472,8 @@ def test_translation_invariance(config_b):
     shifted = MultiDomainConfig(
         maps=tuple(ConformalMapSpec(center=s.center + c, coeffs=s.coeffs)
                    for s in config_b.maps))
-    g0 = assemble(config_b, 12, policy="definitional")
-    g1 = assemble(shifted, 12, policy="definitional")
+    g0 = assemble(config_b, 12)
+    g1 = assemble(shifted, 12)
     for j in range(2):
         for i in range(2):
             np.testing.assert_allclose(g1.blocks[j][i], g0.blocks[j][i],

@@ -13,6 +13,7 @@ import pytest
 import faberkit
 from faberkit import read_matrix, validate_config
 from faberkit.cli import load_config_file, main, parse_polespec
+from faberkit.domain import DEFAULT_EXT_MARGIN, DEFAULT_SEPARATION
 
 TWO_DISKS = {
     "maps": [
@@ -142,6 +143,13 @@ def test_malformed_json_is_input_error(cfg_file, tmp_path):
     assert rc == 2
 
 
+def test_config_without_margins_gets_the_domain_defaults(cfg_file):
+    config = load_config_file(cfg_file(TWO_DISKS))
+    assert (config.ext_margin, config.separation) == (DEFAULT_EXT_MARGIN, DEFAULT_SEPARATION)
+    config = load_config_file(cfg_file(dict(TWO_DISKS, ext_margin=0.01, separation=0.02)))
+    assert (config.ext_margin, config.separation) == (0.01, 0.02)
+
+
 def test_config_without_maps_is_input_error(cfg_file):
     rc = main(["validate", "--config", cfg_file({"wrong": []})])
     assert rc == 2
@@ -205,8 +213,9 @@ def test_trunc_out_of_range_is_input_error(cfg_file):
     assert rc == 2
 
 
-def test_unknown_policy_rejected_by_parser(cfg_file):
-    for policy in ("guess", "auto"):
+def test_policy_flag_is_gone(cfg_file):
+    # every run cross-checks every block: no flag skips the diagonal kernel
+    for policy in ("dual", "definitional"):
         with pytest.raises(SystemExit) as exc:
             main(["grunsky", "--config", cfg_file(TWO_DISKS), "--policy", policy])
         assert exc.value.code == 2
@@ -283,14 +292,13 @@ def test_grunsky_near_contact_exits_0_quietly(cfg_file, tmp_path, capsys, payloa
     assert np.all(gr.agreement <= tol)
 
 
-@pytest.mark.parametrize("policy", ["dual", "definitional"])
-def test_grunsky_non_finite_blocks_fail_the_check(cfg_file, tmp_path, capsys, policy):
+def test_grunsky_non_finite_blocks_fail_the_check(cfg_file, tmp_path, capsys):
     # NaN blocks used to reach the SVD, which died with a LinAlgError; the
     # sampler's division by zero used to warn before the refusal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["grunsky", "--config", cfg_file(NESTED), "--trunc", "8",
-                   "--policy", policy, "--out", str(tmp_path / "out")])
+                   "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "check failed: block (0, 1): samples are not finite at N = 128\n"
@@ -509,7 +517,7 @@ def test_scipy_spatial_loads_on_first_use(tmp_path, commands, loaded):
 
 @pytest.mark.parametrize("argv", [["validate", "--trunc", "8"],
                                   ["decompose", "--function=-2.3,0,1,1,0",
-                                   "--policy", "dual"]])
+                                   "--tol", "1e-7"]])
 def test_flag_a_subcommand_does_not_read_is_input_error(cfg_file, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--config", cfg_file(TWO_DISKS)] + argv[1:])

@@ -161,17 +161,22 @@ def test_kernel_series_at_degree_257():
     assert np.max(np.abs(kernel - b)) <= 1e-13
 
 
-def test_pullback_block_identity_defect_refusal():
+def test_pullback_block_identity_defect_refusal(monkeypatch):
     # f(w) = w + 0.9 w^2 is not univalent on the unit disk (f' vanishes at
     # w = -1/1.8): f(-1) has a second preimage at -1/9, so Phi_32 o f
     # reaches 9^32 on the circle.  The extraction resolves at N = 2048
     # relative to that scale, but its rounding leaves an identity defect of
-    # 1e14, which assemble refuses
+    # 1e14, which assemble refuses.  The kernel series refuses the block
+    # first (its gap is 6e14); given the block itself, it leaves the
+    # identity check to refuse
     cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=0.0, coeffs=(1.0, 0.9))])
     b, defect = faber_pullback_block(cfg, 0, 0, 32)
     assert np.all(np.isfinite(b)) and defect > 1e13
+    with pytest.raises(MethodDisagreement, match=r"^block \(0, 0\): methods differ"):
+        assemble(cfg, 32)
+    monkeypatch.setattr(grunsky, "diagonal_block_series", lambda spec, trunc: b)
     with pytest.raises(MethodDisagreement, match="^identity recovery defect"):
-        assemble(cfg, 32, policy="definitional")
+        assemble(cfg, 32)
 
 
 CLOSE_MAPS = {
@@ -193,7 +198,7 @@ CLOSE_MAPS = {
 def test_assemble_dual_on_close_configs(name, trunc):
     cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=a)
                                   for c, a in CLOSE_MAPS[name]])
-    gr = assemble(cfg, trunc, policy="dual")
+    gr = assemble(cfg, trunc)
     assert np.nanmax(gr.agreement) <= 1e-12
 
 
@@ -202,12 +207,12 @@ def test_rounded_square_assembles_without_alias_warning_at_trunc_128():
     # start of 1024
     cfg = MultiDomainConfig(maps=[ConformalMapSpec(center=c, coeffs=_rounded_square())
                                   for c in (-1.6, 1.6)], ext_margin=0.01)
-    gr = assemble(cfg, 128, policy="definitional")
+    gr = assemble(cfg, 128)
     assert gr.identity_defect < 1e-12
 
 
 def test_assemble_dual_agreement(config_b):
-    gr = assemble(config_b, 8, policy="dual")
+    gr = assemble(config_b, 8)
     assert np.nanmax(gr.agreement) < 1e-10
     assert gr.identity_defect < 1e-10
     assert gr.method_tags == [["definitional+kernel-series", "definitional+symmetry"],
@@ -217,31 +222,35 @@ def test_assemble_dual_agreement(config_b):
 @pytest.mark.parametrize("name", ["config_b", "config_c"])
 def test_assemble_dual_at_trunc_64(request, name):
     cfg = request.getfixturevalue(name)
-    gr = assemble(cfg, 64, policy="dual")
+    gr = assemble(cfg, 64)
     assert np.max(gr.agreement) <= 1e-12
 
 
 @pytest.mark.parametrize("trunc", [32, 64])
 def test_default_assemble_checks_every_block(config_b, trunc):
-    # the default policy cross-checks at every truncation, not only up to 24
+    # assemble cross-checks at every truncation, not only up to 24
     gr = assemble(config_b, trunc)
     assert np.all(np.isfinite(gr.agreement))
     assert {tag for row in gr.method_tags for tag in row} == {"definitional+kernel-series",
                                                               "definitional+symmetry"}
 
 
-def test_assemble_rejects_unknown_policy(config_a):
-    with pytest.raises(ValueError):
-        assemble(config_a, 8, policy="auto")
+def test_assemble_ignores_the_policy_keyword(config_b):
+    # the keyword changes nothing: the diagonal kernel series runs and its
+    # gap is recorded
+    ours, plain = assemble(config_b, 16, policy="definitional"), assemble(config_b, 16)
+    np.testing.assert_array_equal(ours.blocks.view(np.uint64), plain.blocks.view(np.uint64))
+    np.testing.assert_array_equal(ours.agreement, plain.agreement)
+    assert ours.identity_defect == plain.identity_defect
+    assert np.isfinite(np.diag(ours.agreement)).all()
 
 
 def test_assemble_rejects_impossible_tolerance(config_b):
     with pytest.raises(MethodDisagreement):
-        assemble(config_b, 8, policy="dual", method_tol=1e-20)
+        assemble(config_b, 8, method_tol=1e-20)
 
 
-@pytest.mark.parametrize("policy", ["dual", "definitional"])
-def test_assemble_refuses_non_finite_blocks(policy):
+def test_assemble_refuses_non_finite_blocks():
     # the second disk sits inside the first: its pullbacks are NaN, which
     # used to pass every "gap > tol" and "defect > tol" test
     nested = MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=(1.0,)),
@@ -251,23 +260,23 @@ def test_assemble_refuses_non_finite_blocks(policy):
     # and the sampler's division by zero no longer warns on the way
     with pytest.raises(AliasError, match=match), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assemble(nested, 8, policy=policy)
+        assemble(nested, 8)
 
 
 def test_operator_norm_single_mode(config_a):
-    gr = assemble(config_a, 1, policy="definitional")
+    gr = assemble(config_a, 1)
     np.testing.assert_allclose(operator_norm(gr), 1 / 16, atol=1e-12)
 
 
 def test_operator_norm_regression(config_b):
     # frozen from a definitional run at truncation 16
-    gr = assemble(config_b, 16, policy="definitional")
+    gr = assemble(config_b, 16)
     np.testing.assert_allclose(operator_norm(gr), 0.063262746546758009, atol=1e-9)
 
 
 @functools.lru_cache(maxsize=None)
 def _bundled_at_256(name):
-    return assemble(load_config_file(CONFIGS / (name + ".json")), 256, policy="definitional")
+    return assemble(load_config_file(CONFIGS / (name + ".json")), 256)
 
 
 @pytest.mark.parametrize("name", ["perturbed_pair", "three_disks", "two_disks"])
@@ -282,7 +291,7 @@ def test_lanczos_matches_the_svd_on_bundled_configs(name):
 
 
 def test_lanczos_runs_from_the_crossover_on(config_c, monkeypatch):
-    gr = assemble(config_c, 32, policy="definitional")
+    gr = assemble(config_c, 32)
     svd, sizes = np.linalg.svd, []
 
     def counted(a, *args, **kwargs):
@@ -316,9 +325,9 @@ def test_operator_norm_falls_back_to_the_svd(config_c, monkeypatch, case):
         # ARPACK refuses a start vector that G sends to zero; read_matrix
         # accepts such a file
         gr = GrunskyMatrix(blocks=np.zeros((1, 1, 128, 128), dtype=complex),
-                           agreement=np.full((1, 1), np.nan), identity_defect=0.0)
+                           agreement=np.zeros((1, 1)), identity_defect=0.0)
     else:
-        gr = assemble(config_c, 64, policy="definitional")
+        gr = assemble(config_c, 64)
 
         def no_convergence(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
@@ -328,7 +337,7 @@ def test_operator_norm_falls_back_to_the_svd(config_c, monkeypatch, case):
 
 
 def test_norm_history_nondecreasing(config_b):
-    gr = assemble(config_b, 32, policy="definitional")
+    gr = assemble(config_b, 32)
     hist = norm_history(gr)
     ms = sorted(hist)
     vals = [hist[m] for m in ms]
@@ -342,7 +351,7 @@ def test_stacked_matrix_is_symmetric(config_b, config_c):
     # observed across all fixtures at machine precision; complex symmetry,
     # not Hermitian symmetry
     for cfg in (config_b, config_c):
-        g = assemble(cfg, 10, policy="definitional").full_matrix()
+        g = assemble(cfg, 10).full_matrix()
         np.testing.assert_allclose(g, g.T, atol=1e-10)
 
 
@@ -382,15 +391,14 @@ def test_assembled_operator_is_complex_symmetric(cfg, trunc):
     # log(f_i(zeta) - f_j(z)) (log Q on the diagonal), symmetric in the two
     # boundaries; measured at most 7.7e-16 over such configs
     assert validate_config(cfg).passed
-    g = assemble(cfg, trunc, policy="definitional").full_matrix()
+    g = assemble(cfg, trunc).full_matrix()
     assert np.max(np.abs(g - g.T)) <= 1e-14
 
 
-@pytest.mark.parametrize("policy", ["dual", "definitional"])
-def test_symmetry_gap_is_the_agreement_of_both_offdiagonal_blocks(config_c, policy):
+def test_symmetry_gap_is_the_agreement_of_both_offdiagonal_blocks(config_c):
     # the gap is that of the blocks as sampled; the blocks returned keep the
     # upper one of each pair and its exact transpose
-    gr = assemble(config_c, 16, policy=policy)
+    gr = assemble(config_c, 16)
     sampled = [[orthonormal_from_monomial(faber_pullback_block(config_c, j, i, 16)[0])
                 for i in range(3)] for j in range(3)]
     for j in range(3):
@@ -401,7 +409,7 @@ def test_symmetry_gap_is_the_agreement_of_both_offdiagonal_blocks(config_c, poli
                 assert gr.method_tags[j][i] == "definitional+symmetry"
                 upper = sampled[min(j, i)][max(j, i)]
                 np.testing.assert_array_equal(gr.blocks[j, i], upper if j < i else upper.T)
-    assert np.isnan(np.diag(gr.agreement)).all() == (policy == "definitional")
+    assert np.isfinite(np.diag(gr.agreement)).all()
 
 
 # Each mutation below breaks off-diagonal blocks and must be caught by the
@@ -409,8 +417,7 @@ def test_symmetry_gap_is_the_agreement_of_both_offdiagonal_blocks(config_c, poli
 A_PAIR = r"blocks \((\d), (\d)\) and \(\2, \1\)"
 
 
-@pytest.mark.parametrize("policy", ["dual", "definitional"])
-def test_symmetry_catches_a_transposed_weight(config_b, monkeypatch, policy):
+def test_symmetry_catches_a_transposed_weight(config_b, monkeypatch):
     # sqrt(m/n) in place of sqrt(n/m) scales G_ji by m/n and G_ij^T by n/m
     def swapped(b):
         n_idx = np.arange(1, b.shape[0] + 1, dtype=float)
@@ -418,11 +425,10 @@ def test_symmetry_catches_a_transposed_weight(config_b, monkeypatch, policy):
 
     monkeypatch.setattr(grunsky, "orthonormal_from_monomial", swapped)
     with pytest.raises(MethodDisagreement, match=A_PAIR):
-        assemble(config_b, 8, policy=policy, method_tol=1e-12)
+        assemble(config_b, 8, method_tol=1e-12)
 
 
-@pytest.mark.parametrize("policy", ["dual", "definitional"])
-def test_symmetry_catches_perturbed_offdiagonal_samples(config_c, monkeypatch, policy):
+def test_symmetry_catches_perturbed_offdiagonal_samples(config_c, monkeypatch):
     # f_j's samples scaled by 1 + 1e-10 inside the off-diagonal pullbacks
     # only: the samples stay analytic, so the identity defect stays at
     # rounding level (1e-15), while the symmetry gap rises to 6.3e-12
@@ -438,11 +444,10 @@ def test_symmetry_catches_perturbed_offdiagonal_samples(config_c, monkeypatch, p
 
     monkeypatch.setattr(grunsky, "faber_pullback_block", perturbed)
     with pytest.raises(MethodDisagreement, match=A_PAIR):
-        assemble(config_c, 8, policy=policy, method_tol=1e-12)
+        assemble(config_c, 8, method_tol=1e-12)
 
 
-@pytest.mark.parametrize("policy", ["dual", "definitional"])
-def test_symmetry_catches_an_extractor_pinned_too_small(config_b, monkeypatch, policy):
+def test_symmetry_catches_an_extractor_pinned_too_small(config_b, monkeypatch):
     # block (0, 1) read off N = 2T + 2 samples, a plain FFT: its kept
     # coefficients alias those of index N + n, a symmetry gap of 3.4e-10
     pullback = grunsky.faber_pullback_block
@@ -462,7 +467,7 @@ def test_symmetry_catches_an_extractor_pinned_too_small(config_b, monkeypatch, p
 
     monkeypatch.setattr(grunsky, "faber_pullback_block", pinned)
     with pytest.raises(MethodDisagreement, match=A_PAIR):
-        assemble(config_b, 8, policy=policy, method_tol=1e-12)
+        assemble(config_b, 8, method_tol=1e-12)
 
 
 def test_kernel_catches_a_symmetric_perturbation_of_a_diagonal_block(config_b, monkeypatch):
@@ -471,6 +476,7 @@ def test_kernel_catches_a_symmetric_perturbation_of_a_diagonal_block(config_b, m
     # half, hence the identity defect, is untouched, so only the kernel
     # series sees it
     pullback = grunsky.faber_pullback_block
+    clean, clean_defect = pullback(config_b, 0, 0, 8)
 
     def perturbed(config, j, i, trunc, n_samples=None):
         b, defect = pullback(config, j, i, trunc)
@@ -478,23 +484,23 @@ def test_kernel_catches_a_symmetric_perturbation_of_a_diagonal_block(config_b, m
             b = b + 1e-10 * orthonormal_from_monomial(np.ones(b.shape)).T  # sqrt(m/n)
         return b, defect
 
-    clean = assemble(config_b, 8, policy="definitional", method_tol=1e-12)
+    b, defect = perturbed(config_b, 0, 0, 8)
+    g = orthonormal_from_monomial(b)
+    np.testing.assert_allclose(g - orthonormal_from_monomial(clean), 1e-10, rtol=1e-5, atol=0)
+    assert defect == clean_defect
+    assert np.max(np.abs(g - g.T)) <= 1e-15
     monkeypatch.setattr(grunsky, "faber_pullback_block", perturbed)
     with pytest.raises(MethodDisagreement, match=r"block \(0, 0\): methods differ"):
-        assemble(config_b, 8, policy="dual", method_tol=1e-12)
-    gr = assemble(config_b, 8, policy="definitional", method_tol=1e-12)
-    np.testing.assert_allclose(gr.blocks[0, 0] - clean.blocks[0, 0], 1e-10, rtol=1e-5, atol=0)
-    assert gr.identity_defect == clean.identity_defect
-    np.testing.assert_array_equal(gr.agreement, clean.agreement)
-    assert np.max(np.abs(gr.blocks[0, 0] - gr.blocks[0, 0].T)) <= 1e-15
+        assemble(config_b, 8, method_tol=1e-12)
 
 
 @pytest.mark.parametrize("shift", [1e-10, np.nan])
 def test_assemble_refuses_an_asymmetric_diagonal_block(config_b, monkeypatch, shift):
     # the entries below the diagonal of block (0, 0) shifted through its
-    # positive half only: the identity defect is untouched and the
-    # definitional policy runs no kernel, so only the self-symmetry check
-    # sees it, before the upper triangle would overwrite the shifted entries
+    # positive half only: the identity defect is untouched.  At 1e-10 the
+    # kernel series is shifted alike, so only the self-symmetry check sees
+    # it, before the upper triangle would overwrite the shifted entries; a
+    # NaN shift the kernel check refuses first
     pullback = grunsky.faber_pullback_block
 
     def perturbed(config, j, i, trunc, n_samples=None):
@@ -503,9 +509,18 @@ def test_assemble_refuses_an_asymmetric_diagonal_block(config_b, monkeypatch, sh
             b[np.tril_indices(trunc, -1)] += shift
         return b, defect
 
+    def shifted_kernel(spec, trunc):  # the block as perturbed, for its kernel series
+        j = config_b.maps.index(spec)
+        return perturbed(config_b, j, j, trunc)[0]
+
     monkeypatch.setattr(grunsky, "faber_pullback_block", perturbed)
-    with pytest.raises(MethodDisagreement, match=r"^block \(0, 0\) is not symmetric"):
-        assemble(config_b, 8, policy="definitional", method_tol=1e-12)
+    if np.isnan(shift):
+        match = r"^block \(0, 0\): methods differ by nan$"
+    else:
+        match = r"^block \(0, 0\) is not symmetric"
+        monkeypatch.setattr(grunsky, "diagonal_block_series", shifted_kernel)
+    with pytest.raises(MethodDisagreement, match=match):
+        assemble(config_b, 8, method_tol=1e-12)
 
 
 def _two_disks(r1, r2, gap):
@@ -526,7 +541,7 @@ def test_two_disk_spectrum_is_exact(r1, r2, gap):
     # each twice; from gap 0.03 on, T = 256 resolves the first six pairs
     cfg, d = _two_disks(r1, r2, gap)
     rho = two_disk_modulus(r1, r2, d)
-    gr = assemble(cfg, 256, policy="definitional")
+    gr = assemble(cfg, 256)
     sigma = np.linalg.svd(gr.full_matrix(), compute_uv=False)
     assert abs(sigma[0] - rho) <= 1e-14
     assert abs(operator_norm(gr) - rho) <= 1e-14  # by Lanczos, nT = 512
@@ -560,7 +575,7 @@ def test_orthonormal_rescale():
 
 
 def test_apply_grunsky_matches_matrix(config_b):
-    gr = assemble(config_b, 8, policy="definitional")
+    gr = assemble(config_b, 8)
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
     out = apply_grunsky(gr, coeffs)
@@ -581,7 +596,7 @@ def test_apply_grunsky_matches_matrix(config_b):
 @pytest.mark.parametrize("t", [3, 8])
 def test_full_matrix_places_blocks(config_c, t):
     # block (j, i) of the stacked matrix is the leading t x t corner of blocks[j][i]
-    gr = assemble(config_c, 8, policy="definitional")
+    gr = assemble(config_c, 8)
     assert gr.blocks.shape == (3, 3, 8, 8)
     g = gr.full_matrix(t)
     assert g.shape == (3 * t, 3 * t)
@@ -593,13 +608,13 @@ def test_full_matrix_places_blocks(config_c, t):
 
 def test_full_matrix_is_a_new_array(single_poly):
     # with one boundary a reshape alone would hand out a view of the blocks
-    gr = assemble(single_poly, 8, policy="definitional")
+    gr = assemble(single_poly, 8)
     for t in (4, 8):
         assert not np.shares_memory(gr.full_matrix(t), gr.blocks)
 
 
 def test_write_read_round_trip(tmp_path, config_b):
-    gr = assemble(config_b, 8, policy="dual")
+    gr = assemble(config_b, 8)
     path = tmp_path / "m.txt"
     with open(path, "w") as fh:
         write_matrix(gr, fh)
@@ -633,7 +648,7 @@ def _export_lines(gr):
 
 @pytest.mark.parametrize("block", ["block 0 0", "block 1 1"])
 def test_read_matrix_refuses_short_block(config_b, block):
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith(block + " "))
     del lines[start + 3 : start + 5]  # the block's last two rows
     with pytest.raises(ValueError, match=block):
@@ -641,43 +656,56 @@ def test_read_matrix_refuses_short_block(config_b, block):
 
 
 def test_read_matrix_refuses_short_row(config_b):
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     lines[start + 2] = lines[start + 2].rsplit(" ", 1)[0] + "\n"  # one entry short
     with pytest.raises(ValueError, match="block 0 1"):
         read_matrix(io.StringIO("".join(lines)))
 
 
-@pytest.mark.parametrize("policy, swap", [
-    ("dual", ("method=definitional+symmetry", "method=definitional+kernel-series")),
-    ("definitional", ("method=definitional+symmetry", "method=definitional")),
-])
-def test_read_matrix_refuses_method_agreement_mismatch(config_b, policy, swap):
+def test_read_matrix_refuses_method_agreement_mismatch(config_b):
     # an off-diagonal block is always checked by symmetry; a file that tags
     # it otherwise is refused
-    lines = _export_lines(assemble(config_b, 4, policy=policy))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
-    lines[start] = lines[start].replace(*swap)
+    lines[start] = lines[start].replace("method=definitional+symmetry",
+                                        "method=definitional+kernel-series")
     with pytest.raises(ValueError, match="block 0 1"):
         read_matrix(io.StringIO("".join(lines)))
 
 
-@pytest.mark.parametrize("policy, swap", [
-    ("dual", ("method=definitional+kernel-series", "method=definitional")),
-    ("dual", ("method=definitional+kernel-series", "method=definitional+symmetry")),
-    ("definitional", ("method=definitional", "method=definitional+kernel-series")),
+@pytest.mark.parametrize("swap", [
+    ("method=definitional+kernel-series", "method=definitional"),
+    ("method=definitional+kernel-series", "method=definitional+symmetry"),
 ])
-def test_read_matrix_refuses_diagonal_tag_mismatch(config_b, policy, swap):
-    # on the diagonal method= is implied by agreement= (nan: one route)
-    lines = _export_lines(assemble(config_b, 4, policy=policy))
+def test_read_matrix_refuses_diagonal_tag_mismatch(config_b, swap):
+    # on the diagonal method= is fixed by the position: both routes
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
     lines[start] = lines[start].replace(*swap)
     with pytest.raises(ValueError, match="block 1 1"):
         read_matrix(io.StringIO("".join(lines)))
 
 
+@pytest.mark.parametrize("header, message", [
+    # what --policy definitional wrote for every diagonal block, which read
+    # back as a block with one route
+    pytest.param("method=definitional agreement=nan",
+                 "method=definitional, not definitional\\+kernel-series", id="one-route"),
+    pytest.param("method=definitional+kernel-series agreement=nan",
+                 "agreement=nan is not finite", id="kernel-nan"),
+])
+def test_read_matrix_refuses_a_diagonal_block_without_its_kernel_gap(config_b, header,
+                                                                      message):
+    lines = _export_lines(assemble(config_b, 4))
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
+    lines[start] = "block 1 1 %s\n" % header
+    with pytest.raises(ValueError, match="^block 1 1: " + message + "$"):
+        read_matrix(io.StringIO("".join(lines)))
+
+
 def test_read_matrix_refuses_missing_block(config_b):
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     del lines[start : start + 5]  # header and four rows
     with pytest.raises(ValueError, match="block 0 1"):
@@ -687,7 +715,7 @@ def test_read_matrix_refuses_missing_block(config_b):
 @pytest.mark.parametrize("key", ["n", "trunc", "storage"])
 def test_read_matrix_refuses_a_header_without_a_size(config_b, key):
     # a file without storage = upper (the full layout) is refused too
-    lines = [ln for ln in _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = [ln for ln in _export_lines(assemble(config_b, 4))
              if not ln.startswith(key + " = ")]
     with pytest.raises(ValueError, match="no %s" % key):
         read_matrix(io.StringIO("".join(lines)))
@@ -700,7 +728,7 @@ def test_read_matrix_refuses_another_kind():
 
 @pytest.mark.parametrize("header", ["block 2 0", "block 0 -1"])
 def test_read_matrix_refuses_a_block_out_of_range(config_b, header):
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     lines[start] = lines[start].replace("block 0 1", header)
     with pytest.raises(ValueError, match=header + " is out of range"):
@@ -708,7 +736,7 @@ def test_read_matrix_refuses_a_block_out_of_range(config_b, header):
 
 
 def test_read_matrix_refuses_a_block_below_the_diagonal(config_b):
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     lines[start] = lines[start].replace("block 0 1", "block 1 0")
     with pytest.raises(ValueError, match="block 1 0 is below the diagonal"):
@@ -722,7 +750,7 @@ def test_read_matrix_refuses_a_block_below_the_diagonal(config_b):
 def test_read_matrix_refuses_a_diagonal_row_of_the_wrong_length(config_b, edit, count):
     # row 2 of a diagonal block at T = 4 starts at column 2: it holds
     # 2 (T - 2 + 1) = 6 numbers
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
     lines[start + 2] = edit(lines[start + 2].rstrip("\n")) + "\n"
     with pytest.raises(ValueError, match="block 1 1: row 2 holds %d numbers, not 6" % count):
@@ -731,7 +759,7 @@ def test_read_matrix_refuses_a_diagonal_row_of_the_wrong_length(config_b, edit, 
 
 def test_read_matrix_refuses_a_repeated_block(config_b):
     # block 1 1 relabelled as 0 0: the repeat is named, not the block it hides
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
     lines[start] = lines[start].replace("block 1 1", "block 0 0")
     with pytest.raises(ValueError, match="block 0 0 appears twice"):
@@ -740,7 +768,7 @@ def test_read_matrix_refuses_a_repeated_block(config_b):
 
 @pytest.mark.parametrize("entry", ["nan", "-inf", "1e999"])
 def test_read_matrix_refuses_non_finite_entries(config_b, entry):
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 0 1 "))
     lines[start + 3] = entry + lines[start + 3][lines[start + 3].index(","):]
     with pytest.raises(ValueError, match="block 0 1"):
@@ -749,7 +777,7 @@ def test_read_matrix_refuses_non_finite_entries(config_b, entry):
 
 def test_read_matrix_accepts_extra_whitespace(config_b):
     # rows are split at commas and whitespace, as before the vectorized reader
-    gr = assemble(config_b, 4, policy="definitional")
+    gr = assemble(config_b, 4)
     lines = [ln.replace(",", " , ").rstrip("\n") + " \t\n" if ln[:1] in "-0123456789" else ln
              for ln in _export_lines(gr)]
     back = read_matrix(io.StringIO("".join(lines)))
@@ -757,7 +785,7 @@ def test_read_matrix_accepts_extra_whitespace(config_b):
 
 
 def test_read_matrix_names_the_block_of_a_bad_token(config_b):
-    lines = _export_lines(assemble(config_b, 4, policy="definitional"))
+    lines = _export_lines(assemble(config_b, 4))
     start = next(k for k, ln in enumerate(lines) if ln.startswith("block 1 1 "))
     lines[start + 1] = "x" + lines[start + 1]
     with pytest.raises(ValueError, match="block 1 1"):
@@ -766,5 +794,5 @@ def test_read_matrix_names_the_block_of_a_bad_token(config_b):
 
 def test_affine_three_region_norm(config_c):
     # frozen from a definitional run at truncation 32
-    gr = assemble(config_c, 32, policy="definitional")
+    gr = assemble(config_c, 32)
     np.testing.assert_allclose(operator_norm(gr), 0.054949527364047762, atol=1e-9)

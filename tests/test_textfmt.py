@@ -180,7 +180,7 @@ def test_parse_separators():
 @pytest.mark.parametrize("trunc", [1, 3, 16, 64, 256])
 def test_write_matrix_matches_percent_writer(name, trunc):
     config = load_config_file(CONFIGS / (name + ".json"))
-    gr = assemble(config, trunc, policy="dual" if trunc <= 64 else "definitional")
+    gr = assemble(config, trunc)
     history = norm_history(gr)
     ours, reference = io.StringIO(), io.StringIO()
     write_matrix(gr, ours, sigma_history=history)
@@ -200,7 +200,7 @@ def test_write_matrix_matches_percent_writer(name, trunc):
 def test_read_matrix_memory_stays_flat(tmp_path):
     # the reader parses a chunk of rows at a time: beyond the blocks it
     # returns, it holds a few MB whatever the size of the file (28 MB here)
-    gr = assemble(load_config_file(CONFIGS / "three_disks.json"), 256, policy="definitional")
+    gr = assemble(load_config_file(CONFIGS / "three_disks.json"), 256)
     path = tmp_path / "grunsky_matrix.txt"
     with open(path, "w") as fh:
         write_matrix(gr, fh, sigma_history={256: 1.0})
