@@ -19,6 +19,7 @@ are deterministic for fixed inputs and flags.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,11 @@ def cmd_decompose(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree for FLAGS, built on the first call and shared by
+    every later one: parse_args keeps no state between calls, and building
+    it costs more than parsing."""
     parser = argparse.ArgumentParser(
         prog="faberkit",
         description="Faber/Grunsky diagnostics for multi-region circle-domain images")

@@ -52,8 +52,8 @@ upper triangle alone.
 
 Entries in the orthonormal bases {z^{-m}/sqrt(pi m)}, {z^n/sqrt(pi n)}
 are G_nm = sqrt(n/m) b_nm; operator norms are singular values of the
-stacked orthonormal matrix.  Only the largest is wanted: above a measured
-size it comes from Lanczos on G^H G, below it from a dense SVD.
+stacked orthonormal matrix.  Only the largest is wanted: from a measured
+size on it comes from Lanczos on G^H G, in numpy, below it from a dense SVD.
 """
 
 import itertools
@@ -70,10 +70,15 @@ from .faber import faber_values
 from .textfmt import format_g17, parse_g17
 
 DEFAULT_METHOD_TOL = 1e-6
-# operator_norm runs Lanczos from this stacked size nT on: below it a dense
-# SVD is faster (on the bundled configs, one BLAS thread: 0.4-0.7 ms against
-# 0.6-1.1 ms at nT = 64, and 0.9-1.5 ms against 0.6-1.2 ms at 96)
+# operator_norm runs Lanczos from this stacked size nT on, and a dense SVD
+# below it.  On the bundled configs, one BLAS thread, the SVD takes 0.07 ms
+# against 0.27-0.31 ms at nT = 32, the two are even at 64 (0.30-0.48 ms
+# against 0.24-0.47 ms), and Lanczos wins from 80 on (0.8-1.3 ms against
+# 0.19-0.53 ms at 96); below 96 sigma keeps the SVD's bits
 _LANCZOS_MIN_SIZE = 96
+# operator_norm takes the SVD when Lanczos has not converged after this many
+# steps (5-10 on the benchmark's configs, 21-30 for unit disks 0.003 apart)
+_LANCZOS_MAX_STEPS = 128
 # write_matrix and read_matrix handle this many floats at a time, so their
 # memory stays flat
 _CHUNK_FLOATS = 16384
@@ -252,28 +257,57 @@ def _mirror_upper(blocks):
 def operator_norm(gr, trunc=None):
     """Largest singular value of the stacked orthonormal matrix G.
 
-    From size _LANCZOS_MIN_SIZE on it is the square root of the largest
-    eigenvalue of G^H G, by Lanczos (ARPACK through scipy's eigsh) on two
-    matrix-vector products per step, started from the all-ones vector so
-    that the result is reproducible; it agrees with the SVD within 1e-15
-    relative on the bundled configs.  Smaller matrices, and a Lanczos run
-    that ARPACK cannot finish (it does not converge, or the start vector
-    is in the null space of G), take a dense SVD.
+    From size _LANCZOS_MIN_SIZE on it comes from Lanczos on G^H G
+    (_lanczos_sigma), started from the all-ones vector so that the result
+    is reproducible; it agrees with the SVD within 1e-15 relative on the
+    bundled configs.  Smaller matrices, and a Lanczos run that does not
+    finish (G sends the start vector to zero, or _LANCZOS_MAX_STEPS steps do
+    not converge), take a dense SVD.
     """
     g = gr.full_matrix(trunc)
     if g.shape[0] >= _LANCZOS_MIN_SIZE:
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-        # G^H x = conj(G^T conj(x)), and x @ G is G^T x: no conjugated copy of G
-        gram = LinearOperator(g.shape, matvec=lambda v: ((g @ v).conj() @ g).conj(),
-                              dtype=complex)
-        try:
-            top = eigsh(gram, k=1, which="LA", v0=np.ones(g.shape[0]),
-                        return_eigenvectors=False)
-            return float(np.sqrt(top[0]))
-        except ArpackError:  # no convergence, or G v0 = 0
-            pass
+        sigma = _lanczos_sigma(g)
+        if sigma is not None:
+            return sigma
     return float(np.linalg.svd(g, compute_uv=False)[0])
+
+
+def _lanczos_sigma(g):
+    """||G y|| for the top Ritz vector y of G^H G, or None when G sends the
+    all-ones start vector to zero or _LANCZOS_MAX_STEPS steps do not converge.
+
+    Each step applies G^H G as two products with G, orthogonalizes against
+    the whole stored basis twice and takes the eigenpairs of the small
+    tridiagonal matrix.  The top Ritz value theta has converged once its
+    residual beta_k |s_k| is at most eps theta, ARPACK's test at tol = 0.
+    ||G y|| is then read off y itself: it is closer to the SVD than
+    sqrt(theta), which carries the rounding of every step's Rayleigh
+    quotient (at most 7.7e-16 against 2.5e-15 relative on the bundled
+    configs).
+    """
+    n = g.shape[1]
+    steps = min(_LANCZOS_MAX_STEPS, n)
+    basis = np.empty((steps, n), dtype=complex)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    v = np.full(n, n ** -0.5, dtype=complex)
+    for k in range(steps):
+        basis[k] = v
+        gv = g @ v
+        if k == 0 and not gv.any():
+            return None
+        # G^H x = conj(G^T conj(x)), and x @ G is G^T x: no conjugated copy of G
+        w = (gv.conj() @ g).conj()
+        alpha[k] = np.vdot(v, w).real
+        for _ in range(2):  # w -= V V^H w, with V^H w = conj(V conj(w))
+            w -= (basis[: k + 1] @ w.conj()).conj() @ basis[: k + 1]
+        beta[k] = np.linalg.norm(w)
+        # eigh reads the lower triangle: the diagonal and the subdiagonal
+        theta, s = np.linalg.eigh(np.diag(alpha[: k + 1]) + np.diag(beta[:k], -1))
+        if beta[k] * abs(s[-1, -1]) <= np.finfo(float).eps * theta[-1]:
+            y = s[:, -1] @ basis[: k + 1]
+            return float(np.linalg.norm(g @ y) / np.linalg.norm(y))
+        v = w / beta[k]
+    return None
 
 
 def norm_history(gr, truncs=None):

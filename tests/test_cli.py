@@ -12,7 +12,7 @@ import pytest
 
 import faberkit
 from faberkit import read_matrix, validate_config
-from faberkit.cli import load_config_file, main, parse_polespec
+from faberkit.cli import build_parser, load_config_file, main, parse_polespec
 from faberkit.domain import DEFAULT_EXT_MARGIN, DEFAULT_SEPARATION
 
 TWO_DISKS = {
@@ -513,6 +513,50 @@ def test_scipy_spatial_loads_on_first_use(tmp_path, commands, loaded):
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == loaded
+
+
+# the child runs grunsky at nT = 256, where sigma_max comes from Lanczos,
+# then norm_history on the matrix it wrote, and prints whether scipy.sparse
+# was loaded
+SPARSE_CHILD = """
+import os, sys
+import faberkit
+from faberkit.cli import main
+config, out = sys.argv[1:]
+assert main(["grunsky", "--trunc", "128", "--config", config, "--out", out]) == 0
+with open(os.path.join(out, "grunsky_matrix.txt")) as fh:
+    faberkit.norm_history(faberkit.read_matrix(fh), (64, 128))
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_sigma_never_loads_scipy_sparse(tmp_path):
+    # from nT = 96 on sigma_max comes from Lanczos in numpy: neither grunsky
+    # nor norm_history loads scipy.sparse, in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(faberkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", SPARSE_CHILD, str(CONFIGS / "two_disks.json"),
+                          str(tmp_path / "out")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # main reuses one argparse tree: neither a usage error nor a flag set in
+    # one call carries over to the next
+    parser = build_parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["grunsky", "--config", "x.json", "--policy", "dual"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "unrecognized arguments: --policy dual" in errors[0]
+    assert parser.parse_args(["grunsky", "--config", "a", "--trunc", "8"]).trunc == 8
+    again = parser.parse_args(["grunsky", "--config", "a"])
+    assert (again.trunc, again.out) == (16, ".")
+    assert build_parser() is parser
 
 
 @pytest.mark.parametrize("argv", [["validate", "--trunc", "8"],
