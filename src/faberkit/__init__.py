@@ -21,11 +21,9 @@ from .errors import (
     TooCloseToContour,
 )
 from .faber import (
-    FaberPoly,
     RationalFn,
     apply_big_faber,
     apply_faber,
-    faber_polynomial,
     faber_series_table,
     faber_values,
 )

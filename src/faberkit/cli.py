@@ -11,9 +11,12 @@ Rational test functions are passed as --function POLESPEC with POLESPEC a
 semicolon-separated list of terms "re,im,order,cre,cim", each meaning
 (cre + i cim) / (z - (re + i im))^order.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 input error (among
-them a number that is not finite, a complex number that is not an [re, im]
-pair, --trunc outside [1, 256] and a negative --tol).  All output files start with the line "faberkit.v1" or are plain CSV; runs
+Exit codes: 0 success, 1 a mathematical check failed, 2 input error.
+Input errors include a number that is not finite, a complex number that is
+not an [re, im] pair, --trunc outside [1, 256] and a negative --tol.  Each
+cmd_<name> writes its files and raises FaberkitError naming the check that
+failed, if one did; main alone prints that line and picks the exit code.
+All output files start with the line "faberkit.v1" or are plain CSV; runs
 are deterministic for fixed inputs and flags.
 """
 
@@ -33,6 +36,9 @@ from .faber import RationalFn
 
 SCHEMA = "faberkit.v1"
 MAX_TRUNC = 256
+# decompose's quadrature projections must agree with its exact components
+# within this, relative to max(1, max|h|) on the check points
+AGREEMENT_TOL = 1e-6
 
 # every subcommand and the flags it reads, besides --config and --out
 FLAGS = {
@@ -116,10 +122,8 @@ def cmd_validate(args):
         + ["winding %d = %s" % (i, " ".join(map(str, row)))
            for i, row in enumerate(report.winding)]
         + ["failure: %s" % msg for msg in report.failures]))
-    if report.passed:
-        return 0
-    print("check failed: %s" % report.failures[0], file=sys.stderr)
-    return 1
+    if not report.passed:
+        raise FaberkitError(report.failures[0])
 
 
 def cmd_grunsky(args):
@@ -131,10 +135,8 @@ def cmd_grunsky(args):
                ([t, _fmt(history[t])] for t in sorted(history)))
     sigma = history[gr.trunc]
     print("sigma_max = %s" % _fmt(sigma))
-    if sigma < 1.0:
-        return 0
-    print("check failed: sigma_max = %s is not below 1" % _fmt(sigma), file=sys.stderr)
-    return 1
+    if not sigma < 1.0:
+        raise FaberkitError("sigma_max = %s is not below 1" % _fmt(sigma))
 
 
 def cmd_graph_check(args):
@@ -152,11 +154,9 @@ def cmd_graph_check(args):
                 for n, *cs in zip(range(1, args.trunc + 1), report.u[j], report.v[j],
                                   report.predicted[j])))
     print("graph residual = %s" % _fmt(report.residual))
-    if passed:
-        return 0
-    print("check failed: graph residual = %s is not within tol = %s"
-          % (_fmt(report.residual), _fmt(args.tol)), file=sys.stderr)
-    return 1
+    if not passed:
+        raise FaberkitError("graph residual = %s is not within tol = %s"
+                            % (_fmt(report.residual), _fmt(args.tol)))
 
 
 def cmd_faber_series(args):
@@ -168,10 +168,14 @@ def cmd_faber_series(args):
     _write_csv(args, "faber_errors.csv", ["order", "sup_error"],
                ([int(m), _fmt(e)] for m, e in zip(table.orders, table.errors)))
     ratio = "none" if table.fitted_ratio is None else _fmt(table.fitted_ratio)
+    first, last = table.errors[0], table.errors[-1]
+    converged = table.terminated_at > 0 or last <= first
     _write(args, "faber_series.txt", "faber_series", [
         "trunc = %d" % args.trunc, "terminated_at = %d" % table.terminated_at,
-        "fitted_ratio = %s" % ratio])
-    return 0
+        "fitted_ratio = %s" % ratio, "converged = %s" % _bool(converged)])
+    if not converged:
+        raise FaberkitError("Faber series does not converge: sup error %s at order 1, "
+                            "%s at order %d" % (_fmt(first), _fmt(last), args.trunc))
 
 
 def cmd_decompose(args):
@@ -190,7 +194,10 @@ def cmd_decompose(args):
     _write(args, "decompose.txt", "decomposition",
            ["n = %d" % config.n, "residual = %s" % _fmt(result.residual),
             "quadrature_agreement = %s" % _fmt(agree)] + body)
-    return 0
+    bound = AGREEMENT_TOL * max(1.0, float(np.max(np.abs(fn(check_pts)))))
+    if not agree <= bound:
+        raise FaberkitError("quadrature_agreement = %s exceeds %s, %g of max(1, max|h|)"
+                            % (_fmt(agree), _fmt(bound), AGREEMENT_TOL))
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,10 +241,11 @@ def main(argv=None):
     # looked up at each call, so a wrapper put on a cmd_* attribute is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        handler(args)
     except FaberkitError as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ exterior inverse is the principal part at p of f^{-1}(zeta)^{-m}:
     c_k = [w^{m-1}] (f(w) - p)^{k-1} f'(w),
 
 a rational function vanishing at infinity with c_m = a_1^m exactly.
-faber_series_table returns these exact coefficients; faber_polynomial and
-apply_faber build rational functions from them.
+faber_series_table returns these exact coefficients, and apply_faber builds
+rational functions from them.
 
 Values at points are not summed from the coefficients: the c_k grow
 geometrically with m while Phi_m stays O(1) outside the curve, so the sum
@@ -35,31 +35,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import pseries
-
-
-@dataclass(frozen=True)
-class FaberPoly:
-    """Faber function of the map `spec`.
-
-    coeffs is its exact principal part sum_k coeffs[k-1] / (z - center)^k;
-    values come from faber_values, where summing that part would cancel.
-    """
-
-    spec: object
-    coeffs: tuple
-
-    @property
-    def center(self):
-        return self.spec.center
-
-    @property
-    def degree(self):
-        return len(self.coeffs)
-
-    def __call__(self, z):
-        u = 1.0 / (np.ravel(z) - self.center)
-        vals = faber_values(self.spec, u, self.degree)[:, -1].reshape(np.shape(z))
-        return complex(vals) if np.ndim(z) == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -93,16 +68,8 @@ class RationalFn:
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def zero(cls):
-        return cls(terms=())
-
-    @classmethod
     def single(cls, pole, order, coeff):
         return cls(terms=((pole, order, coeff),))
-
-    @property
-    def is_zero(self):
-        return not self.terms
 
     def poles(self):
         return sorted({pole for pole, _, _ in self.terms},
@@ -122,9 +89,6 @@ class RationalFn:
             (pole, order + 1, -order * coeff) for pole, order, coeff in self.terms
         ))
 
-    def __add__(self, other):
-        return RationalFn(terms=self.terms + other.terms)
-
 
 def faber_series_table(spec, order):
     """Triangular array T with T[k-1, m-1] = c_k of the degree-m Faber function.
@@ -133,33 +97,18 @@ def faber_series_table(spec, order):
     one pass of truncated products S_k = (f - p)^{k-1} f', whose (m-1)-st
     Taylor coefficient is c_k.
     """
-    d = spec.degree
-    # (f - p)/w as a Taylor series: poly[k-1] = a_k
+    # (f - p)/w and f' as Taylor series: poly[k-1] = a_k, deriv[k-1] = k a_k
     poly = np.zeros(order, dtype=complex)
-    for k in range(1, d + 1):
-        if k - 1 < order:
-            poly[k - 1] = spec.coeffs[k - 1]
-    deriv = np.zeros(order, dtype=complex)
-    for k in range(1, d + 1):
-        if k - 1 < order:
-            deriv[k - 1] = k * spec.coeffs[k - 1]
+    poly[: spec.degree] = spec.coeffs[:order]
+    deriv = np.arange(1, order + 1) * poly
     table = np.zeros((order, order), dtype=complex)
-    s_k = deriv.copy()  # S_1 = f', as series in w
-    table[0] = s_k
+    s_k = table[0] = deriv  # S_1 = f', as series in w
     for k in range(2, order + 1):
         # multiply by (f - p): one w-power shift plus convolution with poly
         s_k = np.convolve(s_k, poly)[: order - 1]
         s_k = np.concatenate([[0.0], s_k])
         table[k - 1] = s_k
     return table  # table[k-1, m-1] = [w^{m-1}] S_k
-
-
-def faber_polynomial(spec, m):
-    """The degree-m Faber function of the exterior inverse of `spec`."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    table = faber_series_table(spec, m)
-    return FaberPoly(spec=spec, coeffs=tuple(map(complex, table[:m, m - 1])))
 
 
 def faber_values(spec, u, trunc):
@@ -194,7 +143,7 @@ def apply_faber(config, k, a):
     spec = config.maps[k]
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
-        return RationalFn.zero()
+        return RationalFn(terms=())
     coeffs = faber_series_table(spec, a.size) @ a
     return RationalFn(terms=tuple((spec.center, j + 1, c) for j, c in enumerate(coeffs)))
 
@@ -203,7 +152,5 @@ def apply_big_faber(config, a):
     """Sum over boundaries k of the Faber images of the rows a[k]."""
     if len(a) != config.n:
         raise ValueError("need one sequence per map")
-    out = RationalFn.zero()
-    for k, row in enumerate(a):
-        out = out + apply_faber(config, k, row)
-    return out
+    return RationalFn(terms=tuple(term for k, row in enumerate(a)
+                                  for term in apply_faber(config, k, row).terms))

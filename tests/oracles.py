@@ -55,7 +55,7 @@ def faber_coefficients_by_components(config, h, trunc):
     """
     out = np.zeros((config.n, trunc), dtype=complex)
     for k, comp in enumerate(decompose(config, h).components):
-        if not comp.is_zero:
+        if comp.terms:
             out[k] = pullback_boundary(config, k, comp, trunc)[0]
     return out
 

@@ -429,7 +429,7 @@ def test_faber_series_outputs(cfg_file, tmp_path):
                "--function=-2.0,0,1,1,0", "--trunc", "12", "--out", str(out)])
     assert rc == 0
     text = (out / "faber_series.txt").read_text()
-    assert "terminated_at = 1" in text
+    assert "terminated_at = 1\nfitted_ratio = none\nconverged = true\n" in text
     coeffs = (out / "faber_coefficients.csv").read_text().splitlines()
     assert len(coeffs) == 1 + 2 * 12
     errors = (out / "faber_errors.csv").read_text().splitlines()
@@ -458,6 +458,75 @@ def test_decompose_stray_pole_fails(cfg_file, tmp_path):
     rc = main(["decompose", "--config", cfg_file(TWO_DISKS),
                "--function=10,0,1,1,0", "--out", str(tmp_path / "out")])
     assert rc == 1
+
+
+# the overlapping disks, with a pole inside both
+OVERLAP_RUNS = {
+    "validate": [],
+    "grunsky": [],
+    "graph-check": ["--function=-0.3,0,1,1,0"],
+    "faber-series": ["--function=-0.3,0,1,1,0"],
+    "decompose": ["--function=-0.3,0,1,1,0"],
+}
+
+
+@pytest.mark.parametrize("command", list(OVERLAP_RUNS))
+def test_overlap_fails_one_named_check(cfg_file, tmp_path, capsys, command):
+    # faber-series and decompose used to exit 0 here: the partial sums grow
+    # from 1.0e3 at order 1 to 1.4e40 at order 16, and the quadrature
+    # projection differs from the exact component by 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", cfg_file(OVERLAP), "--out", str(tmp_path / "out")]
+                  + OVERLAP_RUNS[command])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("check failed: ")
+
+
+def test_faber_series_names_both_errors(cfg_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["faber-series", "--config", cfg_file(OVERLAP), "--function=-0.3,0,1,1,0",
+               "--out", str(out)])
+    rows = (out / "faber_errors.csv").read_text().splitlines()
+    first, last = rows[1].split(",")[1], rows[-1].split(",")[1]
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "check failed: Faber series does not converge: sup error %s at order 1, "
+        "%s at order 16\n" % (first, last))
+    assert "\nconverged = false\n" in (out / "faber_series.txt").read_text()
+
+
+def test_slow_faber_series_converges(cfg_file, tmp_path, capsys):
+    # a pole 0.005 inside the left curve: at order 16 the sup error has
+    # only fallen from 165.7 to 151.4, short of the floor, yet it falls
+    out = tmp_path / "out"
+    rc = main(["faber-series", "--config", cfg_file(TWO_DISKS), "--function=-2.995,0,1,1,0",
+               "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "faber_series.txt").read_text()
+    assert "\nterminated_at = 0\n" in text and "\nconverged = true\n" in text
+    errors = [float(row.split(",")[1])
+              for row in (out / "faber_errors.csv").read_text().splitlines()[1:]]
+    assert 151 < errors[-1] < errors[0] < 166
+
+
+def test_decompose_refuses_disagreeing_quadrature(cfg_file, tmp_path, capsys):
+    # unit disks at -0.9 and 0.9 overlap; the pole at -1.2 lies in the left
+    # one only, and its quadrature projection is off by 1.11
+    payload = {"maps": [{"center": [-0.9, 0.0], "coeffs": [[1.0, 0.0]]},
+                        {"center": [0.9, 0.0], "coeffs": [[1.0, 0.0]]}]}
+    out = tmp_path / "out"
+    rc = main(["decompose", "--config", cfg_file(payload), "--function=-1.2,0,1,1,0",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    agreement = (out / "decompose.txt").read_text().split("\nquadrature_agreement = ")[1]
+    agreement = agreement.splitlines()[0]
+    assert rc == 1
+    assert 1.1 < float(agreement) < 1.12
+    assert err.startswith("check failed: quadrature_agreement = %s exceeds " % agreement)
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["validate", "decompose"])
