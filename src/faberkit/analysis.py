@@ -16,7 +16,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .coeffs import dirichlet_norm, sample_to_coeffs
-from .domain import curve_samples, evaluate_map, map_derivative, winding_number
+from .domain import curve_samples, evaluate_map, winding_number
 from .errors import AliasError, PoleOutsideRegions
 from .faber import RationalFn, faber_values
 from .grunsky import apply_grunsky, assemble
@@ -26,16 +26,13 @@ PROBE_OFFSET = 0.2
 PROBE_FAR_RADIUS = 10.0
 
 
-def probe_grid(config, seed=None):
+def probe_grid(config):
     """Evaluation points spread through the common exterior domain.
 
     A circle of 64 points rings each region at PROBE_OFFSET beyond its
     farthest boundary point, one more surrounds everything, and eight
-    points approach infinity as reciprocals of a small circle.  A seed
-    jitters the angular phases; with seed None the grid is the fixed
-    default.
+    points approach infinity as reciprocals of a small circle.
     """
-    rng = np.random.default_rng(seed) if seed is not None else None
     circle = 2 * np.pi * np.arange(64) / 64
     pts = []
     extents = []
@@ -43,11 +40,9 @@ def probe_grid(config, seed=None):
         bdry = curve_samples(spec, 1.0, 512)
         extents.append(float(np.max(np.abs(bdry))))
         ring = float(np.max(np.abs(bdry - spec.center))) + PROBE_OFFSET
-        phase = rng.uniform(0, 2 * np.pi) if rng is not None else 0.0
-        pts.append(spec.center + ring * np.exp(1j * (phase + circle)))
+        pts.append(spec.center + ring * np.exp(1j * circle))
     far = max(PROBE_FAR_RADIUS, 1.5 * max(extents) + 2.0)
-    phase = rng.uniform(0, 2 * np.pi) if rng is not None else 0.0
-    pts.append(far * np.exp(1j * (phase + circle)))
+    pts.append(far * np.exp(1j * circle))
     theta = 2 * np.pi * np.arange(8) / 8
     pts.append(1.0 / ((1.0 / (2.0 * far)) * np.exp(1j * theta)))
     return np.concatenate(pts)
@@ -254,15 +249,14 @@ def dirichlet_norm_sigma(config, h, n_samples=2048):
         ||h||^2 = - sum_i (1/2i) * integral over f_i({|w|=1}) of conj(h) h' dz.
 
     Rational h with poles inside the regions is analytic across the
-    curves, so the trapezoid rule on them is spectrally accurate.
+    curves, so the trapezoid rule on them is spectrally accurate; n_samples
+    per curve is a power of two >= 64.
     """
     hp = h.derivative()
     total = 0j
     for spec in config.maps:
-        theta = 2 * np.pi * np.arange(n_samples) / n_samples
-        w = np.exp(1j * theta)
-        zeta = evaluate_map(spec, w)
-        dz = map_derivative(spec, w) * 1j * w
+        contour = Contour.image(spec, 1.0, n_samples)
+        zeta, dz = contour.points(), contour.dpoints()
         total += (2 * np.pi / n_samples) * np.sum(np.conj(h(zeta)) * hp(zeta) * dz)
     value = -total / 2j
     return float(value.real)

@@ -155,6 +155,9 @@ def cmd_graph_check(args):
                                   report.predicted[j])))
     print("graph residual = %s" % _fmt(report.residual))
     if not passed:
+        # a pole in no region breaks the graph identity: name it, a lookup
+        # that only a failing run pays for
+        analysis._pole_regions(args.config, args.function.poles())
         raise FaberkitError("graph residual = %s is not within tol = %s"
                             % (_fmt(report.residual), _fmt(args.tol)))
 

@@ -15,9 +15,8 @@ minima) and, inverted in place, give the trapezoid sums as one real
 product with four rows of weights, combined as conj(z - c) A - B.
 
 Each point is summed over nested trapezoid rules, strided views of the
-samples: the m-node rule, every (N/m)-th sample for m = 64, 128, ..., N,
-adds its odd nodes [N/m::2N/m] to the rule before it, and the 64-node
-rule is taken as its even and odd nodes, two 32-node halves.  Far from
+samples: the m-node rule, every (N/m)-th sample for m = 32, 64, ..., N,
+adds its odd nodes [N/m::2N/m] to the rule before it.  Far from
 the contour the rule converges geometrically in m, so most points stop
 at the first rule whose differences to the rules before it show it has
 converged, and no sample within d_min of the point is left out; a rate
@@ -112,15 +111,15 @@ def _nested_rules(xy, dz, dz_max, h_samples, d_min):
     """The weights of the nested rules for one call.
 
     Returns the weights w = h dzeta, the weight rows Re w, Im w,
-    Re w conj(v), Im w conj(v) as an (n, 4) array, the rows of the 64-node
-    rule as a (64, 8) array whose two column blocks hold its even and its
-    odd nodes (the two 32-node halves), and per rule (m, nodes, bound,
-    reach2, rated): the m-node rule adds the samples `nodes`, its odd ones,
-    to the rule before it.  For m > 64, bound = ALIAS_TOL sum_used |w_k|
+    Re w conj(v), Im w conj(v) as an (n, 4) array, and per rule (m, nodes,
+    bound, reach2, rated): the m-node rule adds the samples `nodes`, its
+    odd ones, to the rule before it; the 32-node rule, the first, takes
+    every (n/32)-th sample.  For m > 64, bound = ALIAS_TOL sum_used |w_k|
     and reach2 = (d_min + lambda_m)^2, lambda_m = pi max |dzeta/dtheta| / m,
     are its stop thresholds (unread at the cap m = n), and rated says
     whether the spectrum of w is resolved at m/4, so that test 2 may take
-    a rate from I_{m/4} (see cauchy_eval); the first rule has None.
+    a rate from I_{m/4} (see cauchy_eval); the 32- and 64-node rules have
+    None, so neither stops a point.
     """
     n = dz.size
     w = h_samples * dz
@@ -130,15 +129,13 @@ def _nested_rules(xy, dz, dz_max, h_samples, d_min):
     band = np.maximum(mag[1 : n // 2 + 1], mag[: n // 2 - 1 : -1])
     band = np.maximum.accumulate(band[::-1])[::-1]
     rows = np.stack([w, w * xy.view(complex).ravel().conj()], axis=1).view(float)
-    s = n // _MIN_NQ
-    first = np.zeros((_MIN_NQ, 8))
-    first[0::2, :4] = rows[0 :: 2 * s]
-    first[1::2, 4:] = rows[s :: 2 * s]
     absw = np.abs(w)
     # w is resolved at k where n |w^(k')| <= ALIAS_TOL^2 sqrt(n) sum |w_k|
     # for all |k'| >= k
     resolved = ALIAS_TOL ** 2 * np.sqrt(n) * absw.sum()
-    rules = [(_MIN_NQ, slice(0, n, s), None, None, None)]
+    s = n // _MIN_NQ
+    rules = [(_MIN_NQ // 2, slice(0, n, 2 * s), None, None, None),
+             (_MIN_NQ, slice(s, n, 2 * s), None, None, None)]
     used = absw[0 :: s].sum()
     m = 2 * _MIN_NQ
     while m <= n:
@@ -147,7 +144,7 @@ def _nested_rules(xy, dz, dz_max, h_samples, d_min):
         rules.append((m, nodes, ALIAS_TOL * used, (d_min + np.pi * dz_max / m) ** 2,
                       band[m // 4 - 1] <= resolved))
         m *= 2
-    return w, rows, first, rules
+    return w, rows, rules
 
 
 def _too_close(z_pts, u_pts, contour, d_min):
@@ -179,13 +176,13 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     whatever the map's offset from 0.
 
     Nested rules.  I_m = S_m / (i m) sums over every (N/m)-th sample, for
-    m = 32, 64, ..., N.  Per block of up to 4096 points the 64-node rule
-    sums every point, with one cdist pass, one in-place reciprocal and one
-    real product that gives I_32 and I_64 together; each later rule adds
-    only its m/2 new nodes, the odd ones of its stride, and only for the
-    points still open.  The node data that depends on neither h nor z (the
-    centered samples, d zeta / d theta and its maximum) is built once per
-    contour, the weights and their spectrum once per call.  With r the
+    m = 32, 64, ..., N.  Per block of up to 4096 points the 32-node rule
+    sums every point, and each later rule adds only its m/2 new nodes, the
+    odd ones of its stride, and only for the points still open: one cdist
+    pass, one in-place reciprocal and one real product per rule.  The node
+    data that depends on neither h nor z (the centered samples,
+    d zeta / d theta and its maximum) is built once per contour, the
+    weights and their spectrum once per call.  With r the
     distance from the point to its nearest used node, a point stops at
     64 < m < N when
 
@@ -236,7 +233,7 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     out = np.full_like(z_arr, np.nan)
     u = z_arr - contour.map_spec.center
-    w, rows, first, rules = _nested_rules(xy, dz, dz_max, h_samples, d_min)
+    w, rows, rules = _nested_rules(xy, dz, dz_max, h_samples, d_min)
     # NaN points stay NaN and never reach the matrix
     live = ~np.isnan(u)
     far = live & (np.abs(u) >= 2.0 ** 54 * vmax)
@@ -250,20 +247,15 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
         idx = near[start : start + block]
         ub = u[idx]
         r2 = np.full(idx.size, np.inf)
+        total = np.zeros(idx.size, dtype=complex)
         for m, nodes, bound, reach2, rated in rules:
             s = cdist(ub.view(float).reshape(-1, 2), xy[nodes], "sqeuclidean")
             np.minimum(r2, s.min(axis=1), out=r2)
             if not r2.min() >= d_min * d_min:
                 raise _too_close(z_arr[idx], ub, contour, d_min)
             np.reciprocal(s, out=s)
-            if m > _MIN_NQ:
-                a, b = (s @ rows[nodes]).view(complex).T
-                part = ub.conj() * a - b
-            else:
-                # S_32 and the 32 nodes that make it S_64
-                a, b, a_odd, b_odd = (s @ first).view(complex).T
-                total = ub.conj() * a - b
-                part = ub.conj() * a_odd - b_odd
+            a, b = (s @ rows[nodes]).view(complex).T
+            part = ub.conj() * a - b
             if m == n:
                 out[idx] = total + part
                 break

@@ -10,15 +10,17 @@ off h itself.  offdiagonal_block_series reads an off-diagonal Grunsky
 block off the Taylor coefficients of its cross kernel on the unit torus,
 where faberkit samples Faber functions on the circle and checks the block
 against its transpose.  two_disk_modulus is the exact Grunsky norm of
-two disks, and quadratic_diagonal_block the exact diagonal block of
-w -> a1 w + a2 w^2.  write_matrix_by_percent writes the grunsky_matrix export
-(the upper triangle of the stacked matrix) with one '%.17g' per entry,
-where faberkit formats whole arrays at once.
+two disks, disk_block the exact off-diagonal block of any two disks, and
+quadratic_diagonal_block the exact diagonal block of w -> a1 w + a2 w^2.
+write_matrix_by_percent writes the grunsky_matrix export (the upper
+triangle of the stacked matrix) with one '%.17g' per entry, where
+faberkit formats whole arrays at once.
 """
 
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from faberkit import (
     Contour,
@@ -200,6 +202,26 @@ def two_disk_modulus(r1, r2, d):
     singular values are rho, rho, rho^2, rho^2, ...
     """
     return math.exp(-math.acosh((d * d - r1 * r1 - r2 * r2) / (2.0 * r1 * r2)))
+
+
+def disk_block(ci, ri, cj, rj, trunc):
+    """Orthonormal block G_ji of the disks w -> ci + ri w (i) and cj + rj w (j), exactly.
+
+    The cross kernel is d/dzeta log(d + ri zeta - rj z) with d = ci - cj,
+    and its binomial series gives
+
+        G_ji[n-1, m-1] = sqrt(nm) C(n+m, m) (-ri/d)^m (rj/d)^n / (n+m).
+
+    Complex radii carry the rotations.  The binomial and the powers are
+    summed as logarithms, log-gamma for the binomial, so nothing overflows
+    at any truncation; one exp per entry, so nothing cancels.
+    """
+    d = complex(ci) - complex(cj)
+    k = np.arange(1, trunc + 1, dtype=float)
+    n, m = k[:, None], k[None, :]
+    log_term = (0.5 * np.log(n * m) - np.log(n + m) + gammaln(n + m + 1) - gammaln(n + 1)
+                - gammaln(m + 1) + m * np.log(-complex(ri) / d) + n * np.log(complex(rj) / d))
+    return np.exp(log_term)
 
 
 def quadratic_diagonal_block(a1, a2, trunc):

@@ -375,7 +375,7 @@ def test_graph_check_member(cfg_file, tmp_path, capsys):
 
 def test_graph_check_detects_nonmember(cfg_file, tmp_path, capsys):
     # extra pole between the regions: not on the graph, exit 1, and stderr
-    # says so against --tol (it used to stay empty)
+    # names the pole that puts it off the graph
     out = tmp_path / "out"
     rc = main(["graph-check", "--config", cfg_file(TWO_DISKS),
                "--function=-2.3,0,1,1,0;0,0,1,1,0", "--trunc", "16",
@@ -385,9 +385,20 @@ def test_graph_check_detects_nonmember(cfg_file, tmp_path, capsys):
     assert "passed = false" in text
     residual = text.split("\nresidual = ", 1)[1].splitlines()[0]
     assert 0.42 < float(residual) < 0.44
+    assert capsys.readouterr().err == "check failed: pole 0j lies in no interior region\n"
+
+
+def test_graph_check_residual_over_tol_fails_named(cfg_file, tmp_path, capsys):
+    # a member of the graph whose rounding-level residual exceeds --tol:
+    # stderr names the residual against --tol
+    out = tmp_path / "out"
+    rc = main(["graph-check", "--config", cfg_file(TWO_DISKS), "--function=-2.3,0,1,1,0",
+               "--tol", "1e-300", "--out", str(out)])
+    assert rc == 1
+    residual = (out / "graph_check.txt").read_text().split("\nresidual = ", 1)[1]
     assert capsys.readouterr().err == (
-        "check failed: graph residual = %s is not within tol = %s\n"
-        % (residual, "%.17g" % 1e-7))
+        "check failed: graph residual = %s is not within tol = 1e-300\n"
+        % residual.splitlines()[0])
 
 
 @pytest.mark.parametrize("q", [-2.98, -2.995])
@@ -436,11 +447,17 @@ def test_faber_series_outputs(cfg_file, tmp_path):
     assert len(errors) == 1 + 12
 
 
-def test_faber_series_stray_pole_fails(cfg_file, tmp_path):
-    # a pole between the regions has no Faber expansion: exit 1
-    rc = main(["faber-series", "--config", cfg_file(TWO_DISKS),
-               "--function=0,0,1,1,0", "--out", str(tmp_path / "out")])
+@pytest.mark.parametrize("pole, name", [("0,0", "0j"), ("10,0", "(10+0j)")],
+                         ids=["between", "beyond"])
+@pytest.mark.parametrize("command", ["graph-check", "faber-series", "decompose"])
+def test_stray_pole_fails_named(cfg_file, tmp_path, capsys, command, pole, name):
+    # a pole between the regions or beyond them all lies in no region: every
+    # function subcommand exits 1 and names it, graph-check after its
+    # residual check fails
+    rc = main([command, "--config", cfg_file(TWO_DISKS), "--function=%s,1,1,0" % pole,
+               "--out", str(tmp_path / "out")])
     assert rc == 1
+    assert capsys.readouterr().err == "check failed: pole %s lies in no interior region\n" % name
 
 
 def test_decompose_outputs(cfg_file, tmp_path):
@@ -452,12 +469,6 @@ def test_decompose_outputs(cfg_file, tmp_path):
     assert "component 0 terms = 1" in text
     assert "component 1 terms = 1" in text
     assert "quadrature_agreement" in text
-
-
-def test_decompose_stray_pole_fails(cfg_file, tmp_path):
-    rc = main(["decompose", "--config", cfg_file(TWO_DISKS),
-               "--function=10,0,1,1,0", "--out", str(tmp_path / "out")])
-    assert rc == 1
 
 
 # the overlapping disks, with a pole inside both

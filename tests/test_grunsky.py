@@ -30,7 +30,12 @@ from faberkit import (
     write_matrix,
 )
 from faberkit.cli import load_config_file
-from oracles import offdiagonal_block_series, quadratic_diagonal_block, two_disk_modulus
+from oracles import (
+    disk_block,
+    offdiagonal_block_series,
+    quadratic_diagonal_block,
+    two_disk_modulus,
+)
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +102,46 @@ def test_offdiagonal_series_matches_definitional(request, name, trunc):
                 b_fft, _ = faber_pullback_block(cfg, j, i, trunc)
                 b_ker = offdiagonal_block_series(cfg, j, i, trunc)
                 np.testing.assert_allclose(b_ker, b_fft, atol=1e-12)
+                if all(spec.degree == 1 for spec in cfg.maps):
+                    exact = _exact_disk_block(cfg, j, i, trunc)
+                    assert np.max(np.abs(orthonormal_from_monomial(b_fft) - exact)) <= 1e-13
+
+
+def _exact_disk_block(cfg, j, i, trunc):
+    """disk_block for block (j, i) of an all-disk config; 0 on the diagonal."""
+    if i == j:
+        return np.zeros((trunc, trunc))
+    spec_i, spec_j = cfg.maps[i], cfg.maps[j]
+    return disk_block(spec_i.center, spec_i.coeffs[0], spec_j.center, spec_j.coeffs[0], trunc)
+
+
+def _disk_block_gap(cfg, trunc):
+    """max |G_ji - exact| over all assembled blocks of an all-disk config."""
+    gr = assemble(cfg, trunc)
+    return max(float(np.max(np.abs(gr.blocks[j, i] - _exact_disk_block(cfg, j, i, trunc))))
+               for j, i in np.ndindex(cfg.n, cfg.n))
+
+
+@pytest.mark.parametrize("n_disks, trunc", [(2, 64), (3, 64), (5, 32), (8, 32), (12, 32)])
+def test_disk_blocks_match_closed_form(n_disks, trunc):
+    # disks of radii 0.5-1, each turned by a random rotation, on a ring at
+    # least 0.5 apart
+    rng = np.random.default_rng(n_disks)
+    ring = 1.25 / np.sin(np.pi / n_disks)
+    phase = 2 * np.pi * (np.arange(n_disks) / n_disks + rng.random())
+    radii = rng.uniform(0.5, 1.0, n_disks) * np.exp(2j * np.pi * rng.random(n_disks))
+    cfg = MultiDomainConfig(maps=tuple(ConformalMapSpec(center=ring * np.exp(1j * t), coeffs=(r,))
+                                       for t, r in zip(phase, radii)))
+    assert _disk_block_gap(cfg, trunc) <= 1e-13
+
+
+@pytest.mark.parametrize("trunc", [64, 128, 256])
+def test_near_contact_disk_blocks_match_closed_form(trunc):
+    # unit disks 3e-4 apart: the entries decay slowly, and at T = 256 the
+    # last one is still 0.016 against the largest, 0.25
+    cfg = MultiDomainConfig(maps=(ConformalMapSpec(center=-1.00015, coeffs=(1.0,)),
+                                  ConformalMapSpec(center=1.00015, coeffs=(1.0,))))
+    assert _disk_block_gap(cfg, trunc) <= 1e-13
 
 
 def test_kernel_series_alias_refusal():

@@ -209,7 +209,7 @@ def test_nested_rule_reach_covers_every_sample(problem):
     contour, _, _ = problem
     n, d_min = contour.n_samples, 0.05
     xy, dz, _, dz_max = quadrature._node_geometry(contour)
-    rules = quadrature._nested_rules(xy, dz, dz_max, np.ones(n), d_min)[3]
+    rules = quadrature._nested_rules(xy, dz, dz_max, np.ones(n), d_min)[2]
     zeta = contour.points()
     reached = [(m, reach2) for m, _, _, reach2, _ in rules if 64 < m < n]
     assert [m for m, _ in reached] == [m for m in (128, 256, 512) if m < n]
@@ -297,6 +297,23 @@ def test_cauchy_eval_nested_rules_save_pairs(monkeypatch):
         assert sum(pairs) <= contour.n_samples * probes.size / 4
         assert np.max(np.abs(got - dense_cauchy(contour, h_vals, probes))) <= 1e-14 * scale
 
+
+def test_cauchy_eval_rules_add_only_new_nodes(monkeypatch):
+    # one rule step for every rule: the 32-node rule sums every point, and
+    # each later m-node rule adds only its m/2 odd nodes
+    c = Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
+    columns = []
+    cdist = quadrature.cdist
+
+    def recording_cdist(a, b, metric):
+        columns.append(len(b))
+        return cdist(a, b, metric)
+
+    monkeypatch.setattr(quadrature, "cdist", recording_cdist)
+    # 0.055 from the circle, within d_min + lambda_m of it for every m < N,
+    # the second point stays open up to the full rule
+    cauchy_eval(c, np.ones(1024), np.array([3.0, 1.055j]))
+    assert columns == [32, 32, 64, 128, 256, 512]
 
 
 _RINGS = np.concatenate([r * np.exp(2j * np.pi * np.arange(8) / 8) for r in (1.5, 2.0, 3.0)])
