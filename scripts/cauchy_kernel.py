@@ -97,7 +97,7 @@ def main():
                     times.append(time.perf_counter() - start)
                 pairs.append(counted_pairs(proj, probes))
                 worst = max(worst, float(np.max(np.abs(vals - comp(probes)))) / scale)
-                contour = Contour.image(config.maps[i], 1.0 + config.ext_margin)
+                contour = Contour(config.maps[i], 1.0 + config.ext_margin)
                 dense = full_rule(contour, h(contour.points()), probes)
                 full_gap = max(full_gap, float(np.max(np.abs(vals - dense))) / scale)
         print("%-16s %-10.3f %-7d %-10.1f %-10.3g %-10.3g"

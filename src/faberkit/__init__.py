@@ -2,7 +2,7 @@
 families of analytic Jordan curves given as polynomial images of the
 unit circle."""
 
-from .coeffs import dirichlet_norm, sample_to_coeffs
+from .coeffs import dirichlet_norm, sample_to_coeffs, unit_roots
 from .domain import (
     ConformalMapSpec,
     MultiDomainConfig,

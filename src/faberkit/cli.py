@@ -186,10 +186,16 @@ def cmd_decompose(args):
     probes = analysis.probe_grid(config)
     result = analysis.decompose(config, fn, probes=probes)
     check_pts = probes[:: max(1, probes.size // 16)]
-    agree, body = 0.0, []
+    exact = [analysis.projection_component(config, i, fn)(check_pts) for i in range(config.n)]
+    # as in decompose's residual, h overflowing at the far check points
+    # gives a NaN that is a verdict, not a warning; np.max carries it
+    # through where max() would drop it
+    with np.errstate(over="ignore", invalid="ignore"):
+        agree = float(np.max([np.max(np.abs(e - comp(check_pts)))
+                              for e, comp in zip(exact, result.components)]))
+        bound = AGREEMENT_TOL * float(np.maximum(1.0, np.max(np.abs(fn(check_pts)))))
+    body = []
     for i, comp in enumerate(result.components):
-        exact = analysis.projection_component(config, i, fn)
-        agree = max(agree, float(np.max(np.abs(exact(check_pts) - comp(check_pts)))))
         body.append("component %d terms = %d" % (i, len(comp.terms)))
         body += ["  pole %s %s order %d coeff %s %s"
                  % (_fmt(pole.real), _fmt(pole.imag), order, _fmt(coeff.real),
@@ -197,10 +203,13 @@ def cmd_decompose(args):
     _write(args, "decompose.txt", "decomposition",
            ["n = %d" % config.n, "residual = %s" % _fmt(result.residual),
             "quadrature_agreement = %s" % _fmt(agree)] + body)
-    bound = AGREEMENT_TOL * max(1.0, float(np.max(np.abs(fn(check_pts)))))
-    if not agree <= bound:
-        raise FaberkitError("quadrature_agreement = %s exceeds %s, %g of max(1, max|h|)"
-                            % (_fmt(agree), _fmt(bound), AGREEMENT_TOL))
+    if not np.isfinite(result.residual):
+        raise FaberkitError("residual = %s on the probe grid is not finite"
+                            % _fmt(result.residual))
+    for name, value in (("residual", result.residual), ("quadrature_agreement", agree)):
+        if not value <= bound:
+            raise FaberkitError("%s = %s exceeds %s, %g of max(1, max|h|)"
+                                % (name, _fmt(value), _fmt(bound), AGREEMENT_TOL))
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,13 +9,15 @@ at infinity), the positive half, a[n-1] = a_n, one of the interior disk
 so the orthonormal coordinates of a are sqrt(pi m) a[..., m-1] and the
 boundary trace norm squared is pi * sum |n| |a_n|^2.
 
-Every coefficient extraction in the package runs through
-sample_to_coeffs: N doubles while the alias it estimates in the kept
-coefficients exceeds FOLD_TOL of the spectral peak.  Past a budget of
-SAMPLE_BUDGET sample values (N times the columns) it raises AliasError.
+Every circle in the package is sampled at the nodes of unit_roots, and
+every coefficient extraction runs through sample_to_coeffs: N doubles
+while the alias it estimates in the kept coefficients exceeds FOLD_TOL
+of the spectral peak.  Past a budget of SAMPLE_BUDGET sample values (N
+times the columns) it raises AliasError.
 """
 
 import numpy as np
+from functools import lru_cache
 
 from .errors import AliasError
 
@@ -30,6 +32,19 @@ def dirichlet_norm(a):
     return float(np.sqrt(np.pi * np.sum(m * np.abs(a) ** 2)))
 
 
+@lru_cache(maxsize=32)
+def unit_roots(n):
+    """The n uniform nodes exp(2 pi i k / n), k = 0..n-1, on |w| = 1.
+
+    One read-only array per n, shared by every caller: r * unit_roots(n)
+    is the same bits as r * exp(i theta_k) with theta_k = 2 pi k / n, and
+    unit_roots(2 n)[::2] the same bits as unit_roots(n).
+    """
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    w.flags.writeable = False
+    return w
+
+
 def _start_points(trunc):
     """Least power of two >= max(128, 4 trunc + 9): the extractor's first N."""
     return 1 << max(7, (4 * trunc + 8).bit_length())
@@ -38,11 +53,12 @@ def _start_points(trunc):
 def sample_to_coeffs(fn, trunc):
     """Fourier coefficients 1..trunc of both signs from samples on |w| = 1.
 
-    fn(w) returns samples along axis 0 at the N nodes w_t = exp(2 pi i t / N)
-    and must act on each node on its own: the nodes of N are the even nodes
-    of 2N, so a doubling evaluates fn at the N odd nodes only and
-    interleaves the samples it kept.  Returns (neg, pos) with neg[m-1] =
-    a_{-m}, pos[n-1] = a_n along axis 0.  N starts at _start_points(trunc)
+    fn(w) returns samples along axis 0 at the N nodes w = unit_roots(N),
+    or the odd ones among them, and must act on each node on its own: the
+    nodes of N are the even nodes of 2N, so a doubling evaluates fn at the
+    N odd nodes only and interleaves the samples it kept.  w is shared and
+    read-only; a sampler that writes into it raises.  Returns (neg, pos)
+    with neg[m-1] = a_{-m}, pos[n-1] = a_n along axis 0.  N starts at _start_points(trunc)
     and doubles while the alias folded into the kept coefficients, estimated
     from the decay across the fold band around Nyquist, exceeds FOLD_TOL of
     the spectral peak.  Raises AliasError, naming N and the estimate, where
@@ -54,7 +70,7 @@ def sample_to_coeffs(fn, trunc):
     n = _start_points(trunc)
     kept = None
     while True:
-        w = np.exp(2j * np.pi * np.arange(n) / n)
+        w = unit_roots(n)
         # overflow still warns: it can give a finite sample (1/inf = 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             if kept is None:

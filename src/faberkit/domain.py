@@ -12,6 +12,8 @@ import cmath
 import numpy as np
 from dataclasses import dataclass, field
 
+from .coeffs import unit_roots
+
 DEFAULT_EXT_MARGIN = 0.05
 DEFAULT_SEPARATION = 1e-3
 DEFAULT_BOUNDARY_SAMPLES = 4096
@@ -141,9 +143,8 @@ class ValidationReport:
 
 
 def curve_samples(spec, radius, n_samples):
-    """Samples of f on the circle |w| = radius, uniform in angle."""
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    return evaluate_map(spec, radius * np.exp(1j * theta))
+    """Samples of f at the n_samples nodes radius * unit_roots(n_samples)."""
+    return evaluate_map(spec, radius * unit_roots(n_samples))
 
 
 def _critical_radius(spec):
@@ -261,8 +262,7 @@ def validate_config(config):
     for k, spec in enumerate(config.maps):
         crit = _critical_radius(spec)
         grid_r = np.linspace(0.0, 1.0 + eps, 33)[1:]
-        grid_t = np.exp(2j * np.pi * np.arange(256) / 256)
-        grid = np.outer(grid_r, grid_t).ravel()
+        grid = np.outer(grid_r, unit_roots(256)).ravel()
         min_deriv = float(np.min(np.abs(map_derivative(spec, grid))))
         injective = crit > 1.0 + eps
         c1 = curve_samples(spec, 1.0, n_samples)

@@ -31,7 +31,8 @@ import numpy as np
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .domain import evaluate_map, map_derivative
+from .coeffs import unit_roots
+from .domain import curve_samples, map_derivative
 from .errors import TooCloseToContour
 
 ALIAS_TOL = 1e-8
@@ -73,20 +74,12 @@ class Contour:
         if not 0 < self.radius < np.inf:
             raise ValueError("radius must be positive and finite")
 
-    @classmethod
-    def image(cls, map_spec, radius, n_samples=DEFAULT_NQ):
-        return cls(map_spec=map_spec, radius=radius, n_samples=n_samples)
-
-    def parameter_points(self):
-        theta = 2.0 * np.pi * np.arange(self.n_samples) / self.n_samples
-        return self.radius * np.exp(1j * theta)
-
     def points(self):
-        return evaluate_map(self.map_spec, self.parameter_points())
+        return curve_samples(self.map_spec, self.radius, self.n_samples)
 
     def dpoints(self):
         """d zeta / d theta along the counterclockwise parameterization."""
-        w = self.parameter_points()
+        w = self.radius * unit_roots(self.n_samples)
         return map_derivative(self.map_spec, w) * 1j * w
 
 

@@ -11,7 +11,9 @@ block off the Taylor coefficients of its cross kernel on the unit torus,
 where faberkit samples Faber functions on the circle and checks the block
 against its transpose.  two_disk_modulus is the exact Grunsky norm of
 two disks, disk_block the exact off-diagonal block of any two disks, and
-quadratic_diagonal_block the exact diagonal block of w -> a1 w + a2 w^2.
+quadratic_diagonal_block the exact diagonal block of w -> a1 w + a2 w^2,
+and boundary_halves the exact pullback of 1/(z - q) through any
+polynomial map, by partial fractions.
 write_matrix_by_percent writes the grunsky_matrix export (the upper
 triangle of the stacked matrix) with one '%.17g' per entry, where
 faberkit formats whole arrays at once.
@@ -42,8 +44,8 @@ def faber_oracle(spec, m, z):
     samples; valid for z in the unbounded component of the curve
     complement, which is where the principal-part formula is being checked.
     """
-    contour = Contour.image(spec, 0.9, n_samples=2048)
-    w = contour.parameter_points()
+    contour = Contour(spec, 0.9, n_samples=2048)
+    w = 0.9 * np.exp(1j * (2.0 * np.pi * np.arange(2048) / 2048))
     h_samples = w ** (-float(m))
     return cauchy_eval(contour, h_samples, z)
 
@@ -60,6 +62,27 @@ def faber_coefficients_by_components(config, h, trunc):
         if comp.terms:
             out[k] = pullback_boundary(config, k, comp, trunc)[0]
     return out
+
+
+def boundary_halves(spec, q, trunc):
+    """(minus, plus): the z^{-m} and z^m coefficients of 1/(f(w) - q) on |w| = 1.
+
+    With w_r the roots of f(w) = q, the partial fractions
+    1/(f(w) - q) = sum_r 1/(f'(w_r) (w - w_r)) give a root inside the disk
+    a_{-m} = w_r^{m-1} / f'(w_r), and one outside a_n = -w_r^{-n-1} / f'(w_r).
+    f is univalent on the closed disk, so a root lies inside only when q
+    lies in the region, and then only one.  Arrays [m-1], m = 1..trunc;
+    nothing here samples the circle.
+    """
+    minus = np.zeros(trunc, dtype=complex)
+    plus = np.zeros(trunc, dtype=complex)
+    m = np.arange(1, trunc + 1)
+    for w in np.roots(list(reversed(spec.coeffs)) + [spec.center - q]):
+        if abs(w) < 1.0:
+            minus += w ** (m - 1) / map_derivative(spec, w)
+        else:
+            plus -= w ** (-m - 1.0) / map_derivative(spec, w)
+    return minus, plus
 
 
 def _laurent_at_infinity(h, n_terms):

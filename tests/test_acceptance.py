@@ -202,11 +202,11 @@ def test_criterion_10_contour_invariance(config_a):
     z = np.array([5.0, -6.0, 3 + 3j])
     vals = []
     for r in (1.02, 1.04, 1.06, 1.08, 1.10):
-        c = Contour.image(spec, r, n_samples=1024)
+        c = Contour(spec, r, n_samples=1024)
         vals.append(cauchy_eval(c, h(c.points()), z))
     spread = float(max(np.max(np.abs(v - vals[0])) for v in vals[1:]))
-    cin = Contour.image(spec, 0.97, n_samples=1024)
-    cout = Contour.image(spec, 1.03, n_samples=1024)
+    cin = Contour(spec, 0.97, n_samples=1024)
+    cout = Contour(spec, 1.03, n_samples=1024)
     straddle = float(np.max(np.abs(
         cauchy_eval(cin, h(cin.points()), z) - cauchy_eval(cout, h(cout.points()), z))))
     ok = spread <= 1e-10 and straddle <= 1e-9

@@ -540,6 +540,21 @@ def test_decompose_refuses_disagreeing_quadrature(cfg_file, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_decompose_refuses_a_non_finite_residual(cfg_file, tmp_path, capsys):
+    # (z + 2.3)^400 overflows at the far probes, so h and its component are
+    # NaN there: decompose used to write residual = nan, print numpy's
+    # warnings and exit 0, since max(0.0, nan) is 0.0
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["decompose", "--config", cfg_file(TWO_DISKS), "--function=-2.3,0,400,1,0",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "check failed: residual = nan on the probe grid is not finite\n")
+    assert "\nresidual = nan\n" in (out / "decompose.txt").read_text()
+
+
 @pytest.mark.parametrize("command", ["validate", "decompose"])
 def test_seed_env_is_ignored(cfg_file, monkeypatch, tmp_path, capsys, command):
     # FABERKIT_SEED used to jitter decompose's probe grid, and a value that

@@ -13,6 +13,7 @@ from faberkit import (
     dirichlet_norm,
     pullback_boundary,
     sample_to_coeffs,
+    unit_roots,
 )
 
 
@@ -23,6 +24,29 @@ def test_single_mode_norms():
     np.testing.assert_allclose(dirichlet_norm([[0, 0, 1], [0, 1, 0]]),
                                math.sqrt(5 * math.pi))
     assert dirichlet_norm(np.zeros((2, 0))) == 0
+
+
+@pytest.mark.parametrize("n", [1 << k for k in range(3, 14)])
+def test_unit_roots_are_the_angle_grid_bit_for_bit(n):
+    # every circle in the package used to scale exp(i theta_k) itself; the
+    # shared nodes give the same bits at any radius, and the even nodes of
+    # 2n are the nodes of n, which the extractor's doubling relies on
+    theta = 2 * np.pi * np.arange(n) / n
+    for r in (1.0, 1.001, 1.05):
+        np.testing.assert_array_equal(r * unit_roots(n), r * np.exp(1j * theta))
+    np.testing.assert_array_equal(unit_roots(2 * n)[::2], unit_roots(n))
+
+
+def test_unit_roots_are_read_only():
+    # the nodes are shared by every caller: a sampler that writes into its
+    # w raises instead of corrupting the nodes of later calls
+    def scaling_in_place(w):
+        w *= 2.0
+        return 1.0 / (w - 3.0)
+
+    with pytest.raises(ValueError, match="read-only"):
+        sample_to_coeffs(scaling_in_place, 8)
+    np.testing.assert_array_equal(unit_roots(128), np.exp(2j * np.pi * np.arange(128) / 128))
 
 
 def test_sample_to_coeffs_geometric_series():

@@ -35,14 +35,14 @@ def dense_cauchy(contour, h_samples, z):
 
 def unit_circle(n_samples=64):
     # samples 0.098 apart: a point on one is farther than d_min = 0.05 from the others
-    return Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0,
+    return Contour(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0,
                          n_samples=n_samples)
 
 
 def test_cauchy_eval_exterior_sign():
     # h(zeta) = 1/(zeta + 2) on |zeta + 2| = 0.5, evaluated at z = 5:
     # -(1/2 pi i) oint h/(zeta - z) = h(z) for z outside, so +1/7
-    c = Contour.image(ConformalMapSpec(center=-2.0, coeffs=(0.5,)), 1.0, n_samples=256)
+    c = Contour(ConformalMapSpec(center=-2.0, coeffs=(0.5,)), 1.0, n_samples=256)
     h = 1.0 / (c.points() + 2.0)
     val = cauchy_eval(c, h, np.array([5.0]))
     np.testing.assert_allclose(val, [1.0 / 7.0], rtol=1e-12)
@@ -50,7 +50,7 @@ def test_cauchy_eval_exterior_sign():
 
 def test_cauchy_eval_reproduces_exterior_function():
     spec = ConformalMapSpec(center=2.0, coeffs=(0.8,))
-    c = Contour.image(spec, radius=1.0, n_samples=512)
+    c = Contour(spec, radius=1.0, n_samples=512)
     h = lambda z: 1.0 / (z - 2.0) + 0.5 / (z - 2.0) ** 2
     z = np.array([4.0, -1.0, 2 + 2j])
     np.testing.assert_allclose(cauchy_eval(c, h(c.points()), z), h(z), rtol=1e-11)
@@ -66,7 +66,7 @@ def test_cauchy_eval_too_close():
 @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
 def test_contour_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ValueError, match="radius must be positive and finite"):
-        Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), radius)
+        Contour(ConformalMapSpec(center=0.0, coeffs=(1.0,)), radius)
 
 
 @pytest.mark.parametrize("d_min", [0.0, -0.05])
@@ -122,7 +122,7 @@ def contour_problems(draw):
     if draw(st.booleans()):
         coeffs += (a1 * complex(draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.4, 0.4))),)
     spec = ConformalMapSpec(center=center, coeffs=coeffs)
-    contour = Contour.image(spec, draw(st.floats(0.5, 1.5)),
+    contour = Contour(spec, draw(st.floats(0.5, 1.5)),
                             n_samples=draw(st.sampled_from([64, 256, 1024])))
     # None: one scalar point; 4097 and more cross a block boundary
     size = draw(st.sampled_from([None, 1, 17, 4097 + draw(st.integers(0, 200))]))
@@ -157,7 +157,7 @@ def test_cauchy_eval_matches_dense_reference(problem):
 def test_cauchy_eval_far_and_infinite_points(center):
     # NaN stays NaN, infinity gives 0, and far points up to |z| = 1e300 keep
     # the dense value although |z - zeta|^2 overflows from |z| ~ 1e154 on
-    c = Contour.image(ConformalMapSpec(center=center, coeffs=(1.0, 0.2)), 1.0, n_samples=256)
+    c = Contour(ConformalMapSpec(center=center, coeffs=(1.0, 0.2)), 1.0, n_samples=256)
     rng = np.random.default_rng(7)
     h = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     inf = np.inf
@@ -179,7 +179,7 @@ def test_cauchy_eval_far_and_infinite_points(center):
 def test_cauchy_eval_accuracy_does_not_depend_on_offset(offset):
     # the kernel works relative to the map's center: a sum conj(z) A - B
     # taken about 0 would lose about |z| / |z - zeta| of its digits here
-    c = Contour.image(ConformalMapSpec(center=offset * (1 + 1j), coeffs=(1.0, 0.2)), 1.0,
+    c = Contour(ConformalMapSpec(center=offset * (1 + 1j), coeffs=(1.0, 0.2)), 1.0,
                       n_samples=1024)
     rng = np.random.default_rng(3)
     h = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
@@ -192,7 +192,7 @@ def test_cauchy_eval_slow_convergence_keeps_full_rule_accuracy():
     # just beyond d_min + lambda_256 the 256-node rule converges slowly: a
     # small difference to the 128-node rule alone would stop these points
     # about 1e-13 from the full rule
-    c = Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
+    c = Contour(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
     zeta = c.points()
     h = 1.0 / (zeta - 0.9)
     dist = np.linspace(0.055, 0.1, 10)
@@ -290,7 +290,7 @@ def test_cauchy_eval_nested_rules_save_pairs(monkeypatch):
 
     monkeypatch.setattr(quadrature, "cdist", counting_cdist)
     for spec in config.maps:
-        contour = Contour.image(spec, 1.0 + config.ext_margin)
+        contour = Contour(spec, 1.0 + config.ext_margin)
         h_vals = h(contour.points())
         pairs.clear()
         got = cauchy_eval(contour, h_vals, probes)
@@ -301,7 +301,7 @@ def test_cauchy_eval_nested_rules_save_pairs(monkeypatch):
 def test_cauchy_eval_rules_add_only_new_nodes(monkeypatch):
     # one rule step for every rule: the 32-node rule sums every point, and
     # each later m-node rule adds only its m/2 odd nodes
-    c = Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
+    c = Contour(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
     columns = []
     cdist = quadrature.cdist
 
@@ -333,7 +333,7 @@ def test_cauchy_eval_masked_slow_part_keeps_full_rule_accuracy(h, z):
     # the error is a slow part of small amplitude under a fast part that
     # fills the coarser rules: the differences of the rules fall fast long
     # before the slow part is summed
-    c = Contour.image(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
+    c = Contour(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n_samples=1024)
     h_vals = h(c.points())
     gap = np.abs(cauchy_eval(c, h_vals, z) - dense_cauchy(c, h_vals, z))
     assert np.max(gap) <= 1e-14 * np.max(np.abs(h_vals))
