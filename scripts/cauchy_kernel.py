@@ -54,9 +54,9 @@ def counted_pairs(proj, probes):
     pairs = []
     cdist = quadrature.cdist
 
-    def counting_cdist(a, b, metric):
+    def counting_cdist(a, b):
         pairs.append(len(a) * len(b))
-        return cdist(a, b, metric)
+        return cdist(a, b)
 
     quadrature.cdist = counting_cdist
     try:

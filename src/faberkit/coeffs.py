@@ -23,6 +23,7 @@ from .errors import AliasError
 
 FOLD_TOL = 1e-13
 SAMPLE_BUDGET = 1 << 21  # N x columns: T = 256 at N = 8192
+CACHED_ROOTS = 1 << 13  # the largest grid unit_roots keeps
 
 
 def dirichlet_norm(a):
@@ -32,17 +33,28 @@ def dirichlet_norm(a):
     return float(np.sqrt(np.pi * np.sum(m * np.abs(a) ** 2)))
 
 
-@lru_cache(maxsize=32)
 def unit_roots(n):
     """The n uniform nodes exp(2 pi i k / n), k = 0..n-1, on |w| = 1.
 
-    One read-only array per n, shared by every caller: r * unit_roots(n)
-    is the same bits as r * exp(i theta_k) with theta_k = 2 pi k / n, and
-    unit_roots(2 n)[::2] the same bits as unit_roots(n).
+    A read-only array: r * unit_roots(n) is the same bits as
+    r * exp(i theta_k) with theta_k = 2 pi k / n, and unit_roots(2 n)[::2]
+    the same bits as unit_roots(n).  Grids up to CACHED_ROOTS nodes, which
+    cover every extraction up to T = 256, are built once and shared by
+    every caller; larger ones, such as those of an extraction that runs to
+    its budget, are built on each call and not kept.
     """
+    if n > CACHED_ROOTS:
+        return _roots(n)
+    return _cached_roots(n)
+
+
+def _roots(n):
     w = np.exp(2j * np.pi * np.arange(n) / n)
     w.flags.writeable = False
     return w
+
+
+_cached_roots = lru_cache(maxsize=32)(_roots)
 
 
 def _start_points(trunc):
@@ -78,8 +90,7 @@ def sample_to_coeffs(fn, trunc):
             else:
                 odd = fn(w[1::2])
                 samples = np.stack([kept, odd], axis=1).reshape((n,) + odd.shape[1:])
-            spec = np.fft.fft(samples, axis=0)
-            spec /= n
+            spec = np.fft.fft(samples, axis=0, norm="forward")
         mag = np.abs(spec)
         peak = float(np.max(mag))
         if not np.isfinite(peak):

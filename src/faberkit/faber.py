@@ -118,7 +118,8 @@ def faber_values(spec, u, trunc):
     (v+1) a_{v+1}, by (P(w)/w)(1 - u P(w)), with [w^v] = a_{v+1} -
     u [w^{v+1}] P^2 (a_k = 0 for k > d); pseries.divide returns its
     coefficients F_0, ..., F_trunc at every point at once.  One more point,
-    u = 0, gives the constants F_m(0).
+    u = 0, gives the constants F_m(0), subtracted in place: F is a
+    transposed view of the division's output.
     """
     d = spec.degree
     a = np.zeros(2 * d + 1, dtype=complex)
@@ -127,7 +128,9 @@ def faber_values(spec, u, trunc):
     num = (np.arange(1, d + 1) * a[1 : d + 1])[:, None]
     den = a[1:, None] - np.convolve(a[: d + 1], a[: d + 1])[1:, None] * u
     F = pseries.divide(num, den, trunc)
-    return (F[1:, :-1] - F[1:, -1:]).T
+    phi = F[1:, :-1]
+    phi -= F[1:, -1:]
+    return phi.T
 
 
 def apply_faber(config, k, a):

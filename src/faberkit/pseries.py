@@ -18,9 +18,13 @@ def divide(num, den, trunc):
     rev = den[:0:-1] * inv  # den_{d-1}/den_0, ..., den_1/den_0
     out = np.zeros((trunc + 1,) + den.shape[1:], dtype=complex)
     for n in range(trunc + 1):
-        v = min(n, d - 1)
         if n < num.shape[0]:
             out[n] = num[n] * inv
-        if v:
-            out[n] -= np.sum(rev[d - 1 - v:] * out[n - v : n], axis=0)
+        # one term is a product; more are summed by one reduction over the
+        # rows, as np.sum does but without its Python wrapper
+        v = min(n, d - 1)
+        if v == 1:
+            out[n] -= rev[-1] * out[n - 1]
+        elif v:
+            out[n] -= np.add.reduce(rev[d - 1 - v:] * out[n - v : n], axis=0)
     return out

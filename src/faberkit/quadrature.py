@@ -10,9 +10,10 @@ The Cauchy evaluator uses the sign convention
 which reproduces h(z) for z outside the counterclockwise contour when h
 is analytic outside and vanishes at infinity.  It works relative to the
 map's center c and forms no complex reciprocal: real matrices of squared
-distances |z - zeta|^2 test the points against d_min (through their
-minima) and, inverted in place, give the trapezoid sums as one real
-product with four rows of weights, combined as conj(z - c) A - B.
+distances |z - zeta|^2, built by cdist in numpy, test the points against
+d_min (through their minima) and, inverted in place, give the trapezoid
+sums as one real product with four rows of weights, combined as
+conj(z - c) A - B.
 
 Each point is summed over nested trapezoid rules, strided views of the
 samples: the m-node rule, every (N/m)-th sample for m = 32, 64, ..., N,
@@ -39,20 +40,42 @@ ALIAS_TOL = 1e-8
 DEFAULT_DMIN = 0.05
 DEFAULT_NQ = 1024
 _MIN_NQ = 64
-_CDIST = None
+_CDIST_ROWS = 1 << 15  # entries of one row block of cdist
 
 
-def cdist(xa, xb, metric):
-    """scipy.spatial.distance.cdist, imported on the first call.
+def cdist(xa, xb):
+    """Squared distances (x_a - x_b)^2 + (y_a - y_b)^2 between the rows of
+    the (n_a, 2) and (n_b, 2) real arrays xa and xb, as an (n_a, n_b) array.
 
-    Loading scipy.spatial costs more than the rest of the package, and only
-    cauchy_eval needs cdist.  A module-level function, so the name can be
-    patched like any other.
+    The same bits as scipy.spatial.distance.cdist(xa, xb, "sqeuclidean"),
+    without loading scipy.spatial, which costs more than the rest of the
+    package.  Each difference x_a - x_b is the product of the row
+    [x_a, 1] and the column [1, -x_b]: both terms are exact, so the product
+    rounds once, as the subtraction does, and a matrix product forms all
+    of them faster than numpy's broadcasting.  The rows are filled in
+    blocks of about _CDIST_ROWS entries, so the y term's scratch stays
+    small.  Squares that overflow give inf, and infinite inputs inf or
+    NaN, without a warning, as SciPy's do.  A module-level function, so
+    the name can be patched like any other.
     """
-    global _CDIST
-    if _CDIST is None:
-        from scipy.spatial.distance import cdist as _CDIST
-    return _CDIST(xa, xb, metric)
+    rows = max(1, _CDIST_ROWS // max(1, len(xb)))
+    # a[c] = [x_a, 1] and b[c] = [1, -x_b]^T for each coordinate c
+    a = np.ones((2, len(xa), 2))
+    a[:, :, 0] = xa.T
+    b = np.ones((2, 2, len(xb)))
+    np.negative(xb.T, out=b[:, 1])
+    out = np.empty((len(xa), len(xb)))
+    scratch = np.empty((min(rows, len(xa)), len(xb)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(xa), rows):
+            x = out[i : i + rows]
+            y = scratch[: len(x)]
+            np.matmul(a[0, i : i + rows], b[0], out=x)
+            np.matmul(a[1, i : i + rows], b[1], out=y)
+            x *= x
+            y *= y
+            x += y
+    return out
 
 
 def _check_nq(n):
@@ -145,7 +168,7 @@ def _too_close(z_pts, u_pts, contour, d_min):
     over all samples, found as the full rule's matrix finds it."""
     zeta = contour.points()
     v = zeta - contour.map_spec.center
-    s = cdist(v.view(float).reshape(-1, 2), u_pts.view(float).reshape(-1, 2), "sqeuclidean")
+    s = cdist(v.view(float).reshape(-1, 2), u_pts.view(float).reshape(-1, 2))
     k, j = divmod(int(np.argmin(s)), u_pts.size)
     z = complex(z_pts[j])
     return TooCloseToContour(
@@ -206,7 +229,10 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
 
     The full rule is the cap: points still open at m = N take S_N, so a
     point that never converges early, such as one with noisy h, gets
-    the full trapezoid sum.
+    the full trapezoid sum.  Either way a point's error is small on the
+    scale of its terms, (1/N) sum_k |w_k| / |z - zeta_k|, not of its
+    value: where the value is 1e-4 of that scale, rounding alone can make
+    it 1e-12 relative.
 
     A point within d_min of a sample raises TooCloseToContour, naming the
     point and its distance, as the minimum over all N samples decides it:
@@ -242,7 +268,7 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
         r2 = np.full(idx.size, np.inf)
         total = np.zeros(idx.size, dtype=complex)
         for m, nodes, bound, reach2, rated in rules:
-            s = cdist(ub.view(float).reshape(-1, 2), xy[nodes], "sqeuclidean")
+            s = cdist(ub.view(float).reshape(-1, 2), xy[nodes])
             np.minimum(r2, s.min(axis=1), out=r2)
             if not r2.min() >= d_min * d_min:
                 raise _too_close(z_arr[idx], ub, contour, d_min)
@@ -255,15 +281,18 @@ def cauchy_eval(contour, h_samples, z, d_min=DEFAULT_DMIN):
             # |S_m - 2 S_{m/2}| = m |I_m - I_{m/2}|
             gap = np.abs(part - total)
             total += part
-            gap2 = gap * gap
-            if bound is None:
-                last2 = gap2
-                continue
-            gap_r = gap * np.sqrt(r2)
-            # test 2: the rule before had m/2 nodes, hence the 4
-            ref2 = 4.0 * last2 if rated else gap2
-            done = ((gap_r <= bound) & (r2 >= reach2)
-                    & (gap_r * gap2 <= ALIAS_TOL * bound * ref2))
+            # a difference past 1e154, from an h of order 1e300, overflows
+            # when squared; the tests take the inf as it is, quietly
+            with np.errstate(over="ignore"):
+                gap2 = gap * gap
+                if bound is None:
+                    last2 = gap2
+                    continue
+                gap_r = gap * np.sqrt(r2)
+                # test 2: the rule before had m/2 nodes, hence the 4
+                ref2 = 4.0 * last2 if rated else gap2
+                done = ((gap_r <= bound) & (r2 >= reach2)
+                        & (gap_r * gap2 <= ALIAS_TOL * bound * ref2))
             last2 = gap2
             if done.any():
                 out[idx[done]] = total[done] * (n // m)

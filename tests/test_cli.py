@@ -555,6 +555,26 @@ def test_decompose_refuses_a_non_finite_residual(cfg_file, tmp_path, capsys):
     assert "\nresidual = nan\n" in (out / "decompose.txt").read_text()
 
 
+def test_decompose_huge_coefficient_passes_quietly(cfg_file, tmp_path, capsys):
+    # a residue of 1e300: the quadrature's rule differences square past the
+    # largest float, which used to print numpy's overflow warning on a
+    # correct answer
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["decompose", "--config", cfg_file(TWO_DISKS), "--function=-2,0,1,1e300,0",
+                   "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    head, _, rest = (out / "decompose.txt").read_text().partition("quadrature_agreement = ")
+    agreement, _, tail = rest.partition("\n")
+    assert head == "faberkit.v1\nkind = decomposition\nn = 2\nresidual = 0\n"
+    assert tail == ("component 0 terms = 1\n"
+                    "  pole -2 0 order 1 coeff 1.0000000000000001e+300 0\n"
+                    "component 1 terms = 0\n")
+    assert 0 < float(agreement) <= 1e-6 * 1e300
+
+
 @pytest.mark.parametrize("command", ["validate", "decompose"])
 def test_seed_env_is_ignored(cfg_file, monkeypatch, tmp_path, capsys, command):
     # FABERKIT_SEED used to jitter decompose's probe grid, and a value that
@@ -594,12 +614,13 @@ print(json.dumps(loaded))
     ([["grunsky", "--trunc", "16"], ["graph-check", "--function=-2.3,0,1,1,0"],
       ["faber-series", "--function=-2.3,0,1,1,0"]], [False, False, False, False]),
     ([["validate"]], [False, True]),
-    ([["decompose", "--function=-2.3,0,1,1,0;2.2,0,2,1,0"]], [False, True]),
+    ([["decompose", "--function=-2.3,0,1,1,0;2.2,0,2,1,0"]], [False, False]),
 ], ids=["grunsky-graph-check-faber-series", "validate", "decompose"])
 def test_scipy_spatial_loads_on_first_use(tmp_path, commands, loaded):
-    # import faberkit used to load scipy.spatial, most of its start-up time;
-    # now only validate's KD-tree and decompose's cdist load it, in a fresh
-    # interpreter that imports the same faberkit as this one
+    # import faberkit used to load scipy.spatial, most of its start-up time,
+    # and decompose's cdist did until it moved into numpy; now only
+    # validate's KD-tree loads it, in a fresh interpreter that imports the
+    # same faberkit as this one
     src = os.path.dirname(os.path.dirname(faberkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     config = str(CONFIGS / "two_disks.json")
@@ -608,6 +629,37 @@ def test_scipy_spatial_loads_on_first_use(tmp_path, commands, loaded):
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == loaded
+
+
+# the child runs the Cauchy projections and the quadrature Dirichlet norm
+# of a function on the config and prints whether scipy.spatial was loaded
+QUADRATURE_CHILD = """
+import sys
+import numpy as np
+import faberkit
+from faberkit import analysis
+from faberkit.cli import load_config_file
+config = load_config_file(sys.argv[1])
+h = faberkit.RationalFn(terms=((-2.3, 1, 1.0), (2.2, 2, 1.0)))
+probes = analysis.probe_grid(config)
+for i in range(config.n):
+    assert np.all(np.isfinite(analysis.projection_component(config, i, h)(probes)))
+contour = faberkit.Contour(config.maps[0], 1.5)
+assert np.isfinite(faberkit.cauchy_eval(contour, h(contour.points()), 5.0))
+assert analysis.dirichlet_norm_sigma(config, h) > 0
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_cauchy_quadrature_never_loads_scipy_spatial():
+    # cdist is numpy's: the projections, cauchy_eval and the quadrature
+    # Dirichlet norm run without scipy.spatial, in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(faberkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", QUADRATURE_CHILD, str(CONFIGS / "two_disks.json")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 # the child runs grunsky at nT = 256, where sigma_max comes from Lanczos,

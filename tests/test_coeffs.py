@@ -1,6 +1,7 @@
 """Two-sided coefficient sequences, seminorms, and circle sampling."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ def test_single_mode_norms():
     assert dirichlet_norm(np.zeros((2, 0))) == 0
 
 
-@pytest.mark.parametrize("n", [1 << k for k in range(3, 14)])
+@pytest.mark.parametrize("n", [1 << k for k in range(3, 16)])
 def test_unit_roots_are_the_angle_grid_bit_for_bit(n):
     # every circle in the package used to scale exp(i theta_k) itself; the
     # shared nodes give the same bits at any radius, and the even nodes of
@@ -168,6 +169,22 @@ def test_extractors_share_sizing_policy(trunc, columns, sizes):
             warnings.simplefilter("error")
             sample_to_coeffs(samples, trunc)
         assert np.cumsum(seen).tolist() == expect
+
+
+def test_refused_extraction_leaves_little_cached():
+    # the circle-T8 refusal above runs N up to 2^21; the grids it leaves
+    # behind are those up to 2^13 nodes, 254 KiB, where every grid it used,
+    # 64 MiB, used to stay cached
+    slow = lambda w: 1.0 / (w - (1 + 1e-6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(AliasError, match=r"^N = 2097152: "):
+            sample_to_coeffs(slow, 8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def _small_slow_pole(res, rho):
