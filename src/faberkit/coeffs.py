@@ -24,6 +24,10 @@ from .errors import AliasError
 FOLD_TOL = 1e-13
 SAMPLE_BUDGET = 1 << 21  # N x columns: T = 256 at N = 8192
 CACHED_ROOTS = 1 << 13  # the largest grid unit_roots keeps
+# values of one column block of a large spectrum: 512 KiB of complex
+# coefficients.  At 1 << 16 an operator_sweep cycle page-faulted 1.6 times
+# as often, and its T = 128 jobs ran slower than with the whole spectrum
+_SPECTRUM_BLOCK = 1 << 15
 
 
 def dirichlet_norm(a):
@@ -90,19 +94,24 @@ def sample_to_coeffs(fn, trunc):
             else:
                 odd = fn(w[1::2])
                 samples = np.stack([kept, odd], axis=1).reshape((n,) + odd.shape[1:])
-            spec = np.fft.fft(samples, axis=0, norm="forward")
-        mag = np.abs(spec)
-        peak = float(np.max(mag))
-        if not np.isfinite(peak):
-            raise AliasError("samples are not finite at N = %d" % n)
+            if samples.size > max(n, _SPECTRUM_BLOCK):
+                peak, floor, outer, rows = _blocked_spectrum(samples, n, trunc)
+            else:
+                spec = np.fft.fft(samples, axis=0, norm="forward")
+                rows = None
         # The fold band N/2 +- N/8 holds |frequency| 3N/8 to N/2; its floor
         # sits at 3N/8 and its outer half, within N/16 of Nyquist, is smaller
         # by the decay over N/16 frequencies.  Coefficients m < N/4 are
         # aliased from |m - N| > 3N/4, six such steps past 3N/8, so the
         # folded alias is estimated as floor * ratio^6.
         e = n // 8
-        floor = float(np.max(mag[n // 2 - e : n // 2 + e + 1]))
-        outer = float(np.max(mag[n // 2 - e // 2 : n // 2 + e // 2 + 1]))
+        if rows is None:
+            mag = np.abs(spec)
+            peak = float(np.max(mag))
+            floor = float(np.max(mag[n // 2 - e : n // 2 + e + 1]))
+            outer = float(np.max(mag[n // 2 - e // 2 : n // 2 + e // 2 + 1]))
+        if not np.isfinite(peak):
+            raise AliasError("samples are not finite at N = %d" % n)
         folded = floor * (outer / floor) ** 6 if floor else 0.0
         if folded <= FOLD_TOL * peak:
             break
@@ -111,5 +120,36 @@ def sample_to_coeffs(fn, trunc):
                              "spectral peak" % (n, folded, FOLD_TOL * peak))
         kept = samples
         n *= 2
+    if rows is not None:
+        return rows
     ns = np.arange(1, trunc + 1)
     return spec[n - ns], spec[ns]
+
+
+def _blocked_spectrum(samples, n, trunc):
+    """sample_to_coeffs' reading of a spectrum of more than _SPECTRUM_BLOCK
+    values, taken a block of columns at a time: the maxima of its modulus
+    over all frequencies, over the fold band and over its outer half (NaN
+    where a NaN reaches them), and its rows (n - ns, ns), ns = 1..trunc.
+
+    Each block's transform along axis 0 gives the same bits as one
+    transform of the whole array, and only the kept rows are stored, so
+    neither the whole spectrum nor its modulus is ever held.
+    """
+    e = n // 8
+    ns = np.arange(1, trunc + 1)
+    cols = samples.reshape(n, -1)
+    width = max(1, _SPECTRUM_BLOCK // n)
+    maxima = np.zeros(3)
+    neg = np.empty((trunc, cols.shape[1]), dtype=complex)
+    pos = np.empty_like(neg)
+    for c in range(0, cols.shape[1], width):
+        spec = np.fft.fft(cols[:, c : c + width], axis=0, norm="forward")
+        mag = np.abs(spec)
+        # np.maximum, unlike max(), keeps a NaN of either side
+        np.maximum(maxima, [np.max(mag), np.max(mag[n // 2 - e : n // 2 + e + 1]),
+                            np.max(mag[n // 2 - e // 2 : n // 2 + e // 2 + 1])], out=maxima)
+        neg[:, c : c + width] = spec[n - ns]
+        pos[:, c : c + width] = spec[ns]
+    shape = (trunc,) + samples.shape[1:]
+    return (*maxima.tolist(), (neg.reshape(shape), pos.reshape(shape)))

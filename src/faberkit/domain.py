@@ -17,20 +17,44 @@ from .coeffs import unit_roots
 DEFAULT_EXT_MARGIN = 0.05
 DEFAULT_SEPARATION = 1e-3
 DEFAULT_BOUNDARY_SAMPLES = 4096
-_CKDTREE = None
+_CDIST_ROWS = 1 << 15  # entries of one row block of cdist
+_BLOCK = 64  # consecutive samples per block of _pairwise_min_distance
 
 
-def cKDTree(data):
-    """scipy.spatial.cKDTree(data), imported on the first call.
+def cdist(xa, xb):
+    """Squared distances (x_a - x_b)^2 + (y_a - y_b)^2 between the rows of
+    the (n_a, 2) and (n_b, 2) real arrays xa and xb, as an (n_a, n_b) array.
 
-    Loading scipy.spatial costs more than the rest of the package, and only
-    validate_config needs the tree.  A module-level function, so the name
-    can be patched like any other.
+    The same bits as scipy.spatial.distance.cdist(xa, xb, "sqeuclidean"),
+    without loading scipy.spatial, which costs more than the rest of the
+    package.  Each difference x_a - x_b is the product of the row
+    [x_a, 1] and the column [1, -x_b]: both terms are exact, so the product
+    rounds once, as the subtraction does, and a matrix product forms all
+    of them faster than numpy's broadcasting.  The rows are filled in
+    blocks of about _CDIST_ROWS entries, so the y term's scratch stays
+    small.  Squares that overflow give inf, and infinite inputs inf or
+    NaN, without a warning, as SciPy's do.  validate_config's curve
+    distances and the Cauchy quadrature both use it.  A module-level
+    function, so the name can be patched like any other.
     """
-    global _CKDTREE
-    if _CKDTREE is None:
-        from scipy.spatial import cKDTree as _CKDTREE
-    return _CKDTREE(data)
+    rows = max(1, _CDIST_ROWS // max(1, len(xb)))
+    # a[c] = [x_a, 1] and b[c] = [1, -x_b]^T for each coordinate c
+    a = np.ones((2, len(xa), 2))
+    a[:, :, 0] = xa.T
+    b = np.ones((2, 2, len(xb)))
+    np.negative(xb.T, out=b[:, 1])
+    out = np.empty((len(xa), len(xb)))
+    scratch = np.empty((min(rows, len(xa)), len(xb)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(xa), rows):
+            x = out[i : i + rows]
+            y = scratch[: len(x)]
+            np.matmul(a[0, i : i + rows], b[0], out=x)
+            np.matmul(a[1, i : i + rows], b[1], out=y)
+            x *= x
+            y *= y
+            x += y
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,6 +184,48 @@ def _cross(u, v):
     return u.real * v.imag - u.imag * v.real
 
 
+def _near_pairs(z, radius):
+    """Index arrays (i, j), i != j, listing every pair of the points z no
+    farther apart than radius, each unordered pair once, among others.
+
+    A uniform grid of square cells of side s puts two points within s of
+    each other in the same cell or in neighbouring ones.  The cells are
+    numbered column by column, so that a cell and the one above it, and
+    the three cells to its right, hold two runs of consecutive numbers.
+    Sorted by cell number, each point meets the points after it in its
+    own cell and the one above, then those of the three cells to the
+    right, as two ranges that binary search finds: every pair in
+    neighbouring cells is listed once.  A cell coordinate (x - x_min) / s,
+    in units of the coordinates, is off by at most eps * 2 max|z|, so
+    the difference of two by twice that; s is radius widened by
+    8 eps max|z|, and the rounding moves no pair within radius two cells
+    apart.  Points spread along a curve cost O(N log N).  A 3 x 3 block of
+    cells lists about 9/pi times the pairs within s, and all N^2 / 2
+    pairs when every point falls in one cell.
+    """
+    if not np.all(np.isfinite(z)):
+        raise ValueError("points must be finite")
+    n = z.size
+    x, y = z.real, z.imag
+    side = radius + 8.0 * np.finfo(float).eps * np.max(np.abs(z))
+    cx = ((x - x.min()) / side).astype(np.int64)
+    cy = ((y - y.min()) / side).astype(np.int64)
+    # columns of h > max(cy) + 1 cells: the runs key..key + 1 and
+    # key + h - 1..key + h + 1 hold no cell of a third column
+    h = int(cy.max()) + 2
+    key = cx * h + cy
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    lo = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, key + (h - 1), "left")])
+    hi = np.concatenate([np.searchsorted(key, key + 1, "right"),
+                         np.searchsorted(key, key + (h + 1), "right")])
+    count = hi - lo
+    start = np.cumsum(count) - count
+    i = np.repeat(np.tile(np.arange(n), 2), count)
+    j = np.arange(start[-1] + count[-1]) + np.repeat(lo - start, count)
+    return order[i], order[j]
+
+
 def _curve_self_intersects(points):
     """Proper-crossing test on the closed polyline through `points`.
 
@@ -167,12 +233,12 @@ def _curve_self_intersects(points):
     meet at a point p have midpoints within |d_i|/2 + |d_j|/2 <= max|d| of
     each other (each midpoint lies within half its segment's length of p),
     so every crossing pair is among the pairs of midpoints no farther apart
-    than the longest segment, which a KD-tree lists in O(N log N).  The
-    radius is widened by a few ulps of the coordinates to cover rounding
-    in the midpoints.  Adjacent segments (sharing a vertex) are skipped;
-    every remaining candidate gets the strict sign test in both
-    orientations, so the answer is exact for the sampled polyline and the
-    same as testing all pairs.
+    than the longest segment, which a uniform grid of that cell side lists
+    (_near_pairs).  The radius is widened by a few ulps of the coordinates
+    to cover rounding in the midpoints.  Adjacent segments (sharing a
+    vertex) are skipped; every remaining candidate gets the strict sign
+    test in both orientations, so the answer is exact for the sampled
+    polyline and the same as testing all pairs.
     """
     n = points.size
     a = points
@@ -180,9 +246,7 @@ def _curve_self_intersects(points):
     d = b - a
     mid = 0.5 * (a + b)
     radius = np.max(np.abs(d)) + 4.0 * np.finfo(float).eps * np.max(np.abs(mid))
-    pairs = cKDTree(np.column_stack([mid.real, mid.imag])).query_pairs(
-        radius, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = _near_pairs(mid, radius)
     gap = np.abs(j - i)
     keep = (gap > 1) & (gap < n - 1)
     i, j = i[keep], j[keep]
@@ -196,23 +260,58 @@ def _curve_self_intersects(points):
     return False
 
 
+def _xy(z):
+    """The complex points z as an (n, 2) real array, as cdist takes them."""
+    return np.ascontiguousarray(z).view(float).reshape(-1, 2)
+
+
+def _sample_blocks(p):
+    """p in rows of _BLOCK consecutive samples, the last row padded with
+    the final sample, with each row's middle sample (its anchor) and the
+    row's largest distance from it (its radius)."""
+    rows = np.empty((-(-p.size // _BLOCK), _BLOCK), dtype=complex)
+    rows.flat[: p.size] = p
+    rows.flat[p.size :] = p[-1]
+    anchor = rows[:, _BLOCK // 2].copy()
+    return rows, anchor, np.max(np.abs(rows - anchor[:, None]), axis=1)
+
+
 def _pairwise_min_distance(pa, pb):
     """Smallest distance between a sample of pa and a sample of pb.
 
-    The nearest neighbours of every 64th point of pa bound the minimum
-    from above by D.  The full query then searches only below the next
-    float after D (its bound is strict): it prunes most of the tree yet
-    returns the minimum pair distance as an unbounded query computes it.
+    Both curves are cut into blocks of _BLOCK consecutive samples, each
+    with an anchor sample and a radius about it.  The nearest anchor pair
+    bounds the minimum from above by D; a pair of blocks whose anchors are
+    |a - b| apart holds no pair of samples nearer than |a - b| - r_a - r_b,
+    so the pairs where that bound, less a rounding margin of a few ulps of
+    its terms, exceeds D are skipped.  cdist forms the squared distances
+    of the pairs of blocks that are left, one block of pa against at most
+    _BLOCK blocks of pb at a time, and the result is the square root of
+    their minimum: the float a nearest-neighbour query over all samples
+    returns.  Curves that are apart by much more than a block's span keep
+    a few pairs of blocks; the worst case, every sample of one curve about
+    as far from the other's as the nearest pair, keeps all of them and
+    costs O(N^2).
     """
-    tree = cKDTree(np.column_stack([pb.real, pb.imag]))
-    xa = np.column_stack([pa.real, pa.imag])
-    bound = float(np.min(tree.query(xa[::64], k=1)[0]))
-    # the tree compares squared distances: the next float after 0 squares
-    # to 0, and a strict bound of 0 would admit nothing
+    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
+        raise ValueError("points must be finite")
+    rows_a, anchor_a, radius_a = _sample_blocks(pa)
+    rows_b, anchor_b, radius_b = _sample_blocks(pb)
+    sep = np.sqrt(cdist(_xy(anchor_a), _xy(anchor_b)))
+    if np.any(np.isinf(sep)):
+        raise ValueError("squared distances overflow")
+    bound = float(np.min(sep))
     if bound == 0.0:
         return 0.0
-    dist, _ = tree.query(xa, k=1, distance_upper_bound=np.nextafter(bound, np.inf))
-    return float(np.min(dist))
+    reach = radius_a[:, None] + radius_b
+    near = (sep - reach) - 16.0 * np.finfo(float).eps * (sep + reach) <= bound
+    best = np.inf
+    for k in np.flatnonzero(np.any(near, axis=1)):
+        cols = np.flatnonzero(near[k])
+        for s in range(0, cols.size, _BLOCK):
+            sq = cdist(_xy(rows_a[k]), _xy(rows_b[cols[s : s + _BLOCK]]))
+            best = min(best, float(np.min(sq)))
+    return float(np.sqrt(best))
 
 
 def winding_number(points, z0):
@@ -245,11 +344,16 @@ def validate_config(config):
     `config.separation` apart, stay outside one another, and no center
     lies inside a foreign region.  Distance and intersection checks work
     on the curves sampled at DEFAULT_BOUNDARY_SAMPLES points: they are
-    exact for those polylines (the crossing test on KD-tree candidate
-    pairs, the distances as nearest sample pairs, or 0 where eight probe
-    points of one curve find it overlapping another) but only approximate
-    the analytic curves.  The derivative check is exact.  Each curve costs
-    O(N log N) in the sample count N.
+    exact for those polylines (the crossing test on the candidate pairs
+    of a uniform grid, the distances as nearest sample pairs, found
+    through bounds on blocks of samples, or 0 where eight probe points of
+    one curve find it overlapping another) but only approximate the
+    analytic curves.  The derivative check is exact.  In the sample count
+    N, the crossing test costs O(N log N) per curve and the distance of
+    two well separated curves O(64 N + (N / 64)^2); either takes O(N^2)
+    only in its worst case, most segment midpoints within one segment
+    length of each other, or most sample pairs about as far apart as the
+    nearest one.
     """
     n = config.n
     n_samples = DEFAULT_BOUNDARY_SAMPLES

@@ -127,7 +127,9 @@ def diagonal_block_series(spec, trunc):
         for v in range(d - 2, -1, -1):
             q[v] = a[v] + w * q[v + 1]
             dq[v] = q[v + 1] + w * dq[v + 1]
-        return (pseries.divide(-dq, q, trunc)[1:] * w).T
+        k = pseries.divide(-dq, q, trunc)[1:]
+        k *= w
+        return k.T
 
     return sample_to_coeffs(samples, max(trunc, d))[1][:trunc].T
 

@@ -33,49 +33,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coeffs import unit_roots
-from .domain import curve_samples, map_derivative
+from .domain import cdist, curve_samples, map_derivative
 from .errors import TooCloseToContour
 
 ALIAS_TOL = 1e-8
 DEFAULT_DMIN = 0.05
 DEFAULT_NQ = 1024
 _MIN_NQ = 64
-_CDIST_ROWS = 1 << 15  # entries of one row block of cdist
-
-
-def cdist(xa, xb):
-    """Squared distances (x_a - x_b)^2 + (y_a - y_b)^2 between the rows of
-    the (n_a, 2) and (n_b, 2) real arrays xa and xb, as an (n_a, n_b) array.
-
-    The same bits as scipy.spatial.distance.cdist(xa, xb, "sqeuclidean"),
-    without loading scipy.spatial, which costs more than the rest of the
-    package.  Each difference x_a - x_b is the product of the row
-    [x_a, 1] and the column [1, -x_b]: both terms are exact, so the product
-    rounds once, as the subtraction does, and a matrix product forms all
-    of them faster than numpy's broadcasting.  The rows are filled in
-    blocks of about _CDIST_ROWS entries, so the y term's scratch stays
-    small.  Squares that overflow give inf, and infinite inputs inf or
-    NaN, without a warning, as SciPy's do.  A module-level function, so
-    the name can be patched like any other.
-    """
-    rows = max(1, _CDIST_ROWS // max(1, len(xb)))
-    # a[c] = [x_a, 1] and b[c] = [1, -x_b]^T for each coordinate c
-    a = np.ones((2, len(xa), 2))
-    a[:, :, 0] = xa.T
-    b = np.ones((2, 2, len(xb)))
-    np.negative(xb.T, out=b[:, 1])
-    out = np.empty((len(xa), len(xb)))
-    scratch = np.empty((min(rows, len(xa)), len(xb)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(xa), rows):
-            x = out[i : i + rows]
-            y = scratch[: len(x)]
-            np.matmul(a[0, i : i + rows], b[0], out=x)
-            np.matmul(a[1, i : i + rows], b[1], out=y)
-            x *= x
-            y *= y
-            x += y
-    return out
 
 
 def _check_nq(n):

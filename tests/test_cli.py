@@ -613,14 +613,14 @@ print(json.dumps(loaded))
 @pytest.mark.parametrize("commands, loaded", [
     ([["grunsky", "--trunc", "16"], ["graph-check", "--function=-2.3,0,1,1,0"],
       ["faber-series", "--function=-2.3,0,1,1,0"]], [False, False, False, False]),
-    ([["validate"]], [False, True]),
+    ([["validate"]], [False, False]),
     ([["decompose", "--function=-2.3,0,1,1,0;2.2,0,2,1,0"]], [False, False]),
 ], ids=["grunsky-graph-check-faber-series", "validate", "decompose"])
 def test_scipy_spatial_loads_on_first_use(tmp_path, commands, loaded):
     # import faberkit used to load scipy.spatial, most of its start-up time,
-    # and decompose's cdist did until it moved into numpy; now only
-    # validate's KD-tree loads it, in a fresh interpreter that imports the
-    # same faberkit as this one
+    # decompose's cdist did until it moved into numpy, and validate's
+    # KD-tree until its grid and block bounds did; now no subcommand loads
+    # it, in a fresh interpreter that imports the same faberkit as this one
     src = os.path.dirname(os.path.dirname(faberkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     config = str(CONFIGS / "two_disks.json")

@@ -16,6 +16,7 @@ from faberkit import (
     sample_to_coeffs,
     unit_roots,
 )
+from faberkit import coeffs
 
 
 def test_single_mode_norms():
@@ -126,6 +127,59 @@ def test_doubling_evaluates_each_node_once():
     ns = np.arange(1, 129)
     np.testing.assert_array_equal(neg, spec[n - ns])
     np.testing.assert_array_equal(pos, spec[ns])
+
+
+def _many_columns(rho):
+    # one column 1/(w - rho_k) per pole; 1100 columns span at least three
+    # column blocks of the spectrum at every N up to 512
+    def samples(w):
+        return 1.0 / (w[:, None] - rho)
+
+    return samples
+
+
+@pytest.mark.parametrize("near, sizes", [(3.0, [128]), (1.1, [128, 128, 256])],
+                         ids=["start", "doubled"])
+def test_blocked_spectrum_is_the_whole_fft(near, sizes):
+    # a spectrum of more than _SPECTRUM_BLOCK values is read a block of
+    # columns at a time: the same bits as one FFT of the whole array, at
+    # the start N and after doublings (a pole at 1.1 in the last column)
+    rho = np.linspace(2.0, 4.0, 1100) * np.exp(1j * np.linspace(0.0, 6.0, 1100))
+    rho[-1] = near
+    fn = _many_columns(rho)
+    seen = []
+
+    def samples(w):
+        seen.append(w.size)
+        return fn(w)
+
+    neg, pos = sample_to_coeffs(samples, 8)
+    assert seen == sizes
+    n = sum(sizes)
+    assert rho.size > 2 * (coeffs._SPECTRUM_BLOCK // n)
+    spec = np.fft.fft(fn(unit_roots(n)), axis=0, norm="forward")
+    ns = np.arange(1, 9)
+    np.testing.assert_array_equal(neg.view(np.int64), spec[n - ns].view(np.int64))
+    np.testing.assert_array_equal(pos.view(np.int64), spec[ns].view(np.int64))
+
+
+def test_blocked_spectrum_stops_on_a_nan_in_its_last_block():
+    # one NaN sample in the last column, so in the last block only: the
+    # extractor still names the non-finite samples, at the first N
+    fn = _many_columns(np.full(1100, 3.0))
+    seen = []
+
+    def samples(w):
+        seen.append(w.size)
+        out = fn(w)
+        out[5, -1] = np.nan
+        return out
+
+    with pytest.raises(AliasError, match="^samples are not finite at N = 128$"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_to_coeffs(samples, 8)
+    assert seen == [128]
 
 
 def test_pullback_boundary_doubling_evaluates_h_once_per_node():

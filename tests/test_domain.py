@@ -1,5 +1,12 @@
 """Map evaluation and configuration validation."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +22,9 @@ from faberkit import (
     winding_number,
 )
 from faberkit import domain
-from faberkit.domain import _curve_self_intersects, _pairwise_min_distance
+from faberkit.domain import _curve_self_intersects, _near_pairs, _pairwise_min_distance
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_evaluate_map_scalar_and_array():
@@ -92,26 +101,30 @@ def test_validate_config_rejects_overlapping_regions():
     assert not report.passed
 
 
-def test_validate_config_builds_trees_through_domain_ckdtree(config_c, monkeypatch):
-    # domain.cKDTree imports scipy.spatial on its first call and stays a
-    # module name that can be patched, as quadrature.cdist does
-    plain = validate_config(config_c)
-    trees = []
-    ckdtree = domain.cKDTree
+# the child validates each config named on its command line and prints the
+# scipy modules loaded
+SCIPY_CHILD = """
+import json, sys
+from faberkit import validate_config
+from faberkit.cli import load_config_file
+for path in sys.argv[1:]:
+    validate_config(load_config_file(path))
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
 
-    def counting_ckdtree(data):
-        trees.append(len(data))
-        return ckdtree(data)
 
-    monkeypatch.setattr(domain, "cKDTree", counting_ckdtree)
-    report = validate_config(config_c)
-    # one tree per curve for its crossing test, and one per pair of curves
-    # at each of the two radii for their distance
-    assert trees == [domain.DEFAULT_BOUNDARY_SAMPLES] * 9
-    assert report.failures == plain.failures == []
-    assert report.map_reports == plain.map_reports
-    for name in ("curve_distances", "margin_distances", "winding"):
-        np.testing.assert_array_equal(getattr(report, name), getattr(plain, name))
+def test_validate_config_loads_no_scipy():
+    # the crossing test and the curve distances are numpy's: validating the
+    # bundled configs in a fresh interpreter, which imports the same
+    # faberkit as this one, loads no scipy module at all
+    src = os.path.dirname(os.path.dirname(domain.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    configs = [str(CONFIGS / name) for name in
+               ("two_disks.json", "perturbed_pair.json", "three_disks.json")]
+    run = subprocess.run([sys.executable, "-c", SCIPY_CHILD] + configs,
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == []
 
 
 def test_validate_config_margin_monotonic(config_b):
@@ -186,6 +199,36 @@ def polynomial_curves(draw):
 @given(points=polynomial_curves())
 def test_crossing_test_matches_all_pairs(points):
     assert _curve_self_intersects(points) == _all_pairs_self_intersects(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=polynomial_curves())
+def test_near_pairs_hold_every_midpoint_pair_within_the_radius(points):
+    # the grid lists each unordered pair at most once, never a point with
+    # itself, and every pair of midpoints no farther apart than the longest
+    # segment among them, the uneven draws included: checked on all pairs
+    a, b = points, np.roll(points, -1)
+    mid = 0.5 * (a + b)
+    radius = np.abs(b - a).max()
+    i, j = _near_pairs(mid, radius)
+    listed = set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    assert not np.any(i == j)
+    assert len(listed) == i.size
+    close = np.argwhere(np.triu(np.abs(mid[:, None] - mid[None, :]) <= radius, k=1))
+    assert set(map(tuple, close.tolist())) <= listed
+
+
+def test_near_pairs_cover_the_rounding_of_the_cell_coordinates():
+    # the last two points are within the radius, yet (x - x_min) / radius
+    # rounds them two cells apart; the widened cell side keeps them
+    # neighbours
+    z = np.array([-281.29971585008104, 892.9713784321756, 893.3138313613917]) + 0j
+    radius = 0.3424529292161729
+    assert abs(z[2] - z[1]) <= radius
+    x = z.real - z.real.min()
+    assert int(x[2] / radius) - int(x[1] / radius) == 2
+    i, j = _near_pairs(z, radius)
+    assert (1, 2) in set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
 
 
 def test_polynomial_curves_cover_both_answers_and_uneven_segments():
@@ -310,6 +353,46 @@ def test_pairwise_min_distance_shared_sample():
     pb = np.concatenate([pa[:1], pa[:1] + 3.0 + 0.5j * np.arange(1, 200)])
     assert _pairwise_min_distance(pa, pb) == 0.0
     assert _pairwise_min_distance(pb, pa) == 0.0
+
+
+def _kdtree_min_distance(pa, pb):
+    """The KD-tree search the block bound replaced: the nearest neighbours
+    of every 64th sample of pa bound the full query from above."""
+    tree = cKDTree(np.column_stack([pb.real, pb.imag]))
+    xa = np.column_stack([pa.real, pa.imag])
+    bound = float(np.min(tree.query(xa[::64], k=1)[0]))
+    if bound == 0.0:
+        return 0.0
+    dist, _ = tree.query(xa, k=1, distance_upper_bound=np.nextafter(bound, np.inf))
+    return float(np.min(dist))
+
+
+def _best_time(fn, *args):
+    best = np.inf
+    for _ in range(7):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.parametrize("contact", ["hug", "touch"])
+def test_pairwise_min_distance_worst_cases(contact):
+    # a curve that runs 1e-3 outside the unit circle along half of it
+    # keeps a few block pairs for every block of that half; a unit circle
+    # touching it at one sample keeps a few in all.  Both give the full
+    # query's float, in at most twice the time of the KD-tree search
+    n = domain.DEFAULT_BOUNDARY_SAMPLES
+    pa = curve_samples(ConformalMapSpec(center=0.0, coeffs=(1.0,)), 1.0, n)
+    if contact == "hug":
+        theta = np.pi * np.arange(n // 2) / (n // 2)
+        pb = np.concatenate([(1 + 1e-3) * np.exp(1j * theta), 1.5 * np.exp(1j * theta[::-1])])
+    else:
+        pb = 2.0 - pa
+        assert pb[0] == pa[0]
+    for p, q in ((pa, pb), (pb, pa)):
+        assert _pairwise_min_distance(p, q) == _unbounded_min_distance(p, q)
+    assert _best_time(_pairwise_min_distance, pa, pb) <= 2 * _best_time(_kdtree_min_distance, pa, pb)
 
 
 def test_validate_config_single_map_has_no_curve_distance(single_poly):
