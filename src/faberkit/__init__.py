@@ -10,8 +10,8 @@ from .domain import (
     curve_samples,
     evaluate_map,
     map_derivative,
+    roots_inside,
     validate_config,
-    winding_number,
 )
 from .errors import (
     AliasError,

@@ -9,29 +9,37 @@ Both descriptions of the Dirichlet space of the exterior domain read the
 same boundary data, the halves (h o f_k)^- and (h o f_k)^+ on |w| = 1,
 taken once per boundary as (n, trunc) arrays: the Faber preimage of h is
 ((h o f_k)^-)_k (faber_coefficients), and graph membership says
-(h o f)^+ = Gr (h o f)^- (graph_check).
+(h o f)^+ = Gr (h o f)^- (graph_check).  Every coefficient or mean taken
+on a circle goes through coeffs.sample_to_coeffs, which sizes its sampling.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .coeffs import dirichlet_norm, sample_to_coeffs, unit_roots
-from .domain import curve_samples, evaluate_map, winding_number
+from .domain import curve_samples, evaluate_map, map_derivative, roots_inside
 from .errors import AliasError, PoleOutsideRegions
 from .faber import RationalFn, faber_values
 from .grunsky import apply_grunsky, assemble
-from .quadrature import Contour, cauchy_eval
+from .quadrature import DEFAULT_DMIN, Contour, cauchy_eval
 
 PROBE_OFFSET = 0.2
 PROBE_FAR_RADIUS = 10.0
 
 
+def _length_scale(spec):
+    """max(1, |a_1|), |a_1| the region's conformal radius: the unit of
+    PROBE_OFFSET and d_min, so both grow with a region as its contour does."""
+    return max(1.0, abs(spec.coeffs[0]))
+
+
 def probe_grid(config):
     """Evaluation points spread through the common exterior domain.
 
-    A circle of 64 points rings each region at PROBE_OFFSET beyond its
-    farthest boundary point, one more surrounds everything, and eight
-    points approach infinity as reciprocals of a small circle.
+    A circle of 64 points rings each region at PROBE_OFFSET (in units of
+    _length_scale) beyond its farthest of 512 boundary samples, one more
+    surrounds everything, and eight points approach infinity as reciprocals
+    of a small circle.  A measurement grid: nothing sums it.
     """
     circle = unit_roots(64)
     pts = []
@@ -39,7 +47,7 @@ def probe_grid(config):
     for spec in config.maps:
         bdry = curve_samples(spec, 1.0, 512)
         extents.append(float(np.max(np.abs(bdry))))
-        ring = float(np.max(np.abs(bdry - spec.center))) + PROBE_OFFSET
+        ring = float(np.max(np.abs(bdry - spec.center))) + PROBE_OFFSET * _length_scale(spec)
         pts.append(spec.center + ring * circle)
     far = max(PROBE_FAR_RADIUS, 1.5 * max(extents) + 2.0)
     pts.append(far * circle)
@@ -51,7 +59,8 @@ def boundary_grid(config):
     """32 points per curve on f({|w| = 1.001}), just outside each boundary.
 
     Sup errors over this grid see the full decay rate of a Faber series;
-    grids held farther out report a faster, distance-discounted rate.
+    grids held farther out report a faster, distance-discounted rate.  Like
+    probe_grid, a measurement grid: nothing sums it.
     """
     return np.concatenate([curve_samples(spec, 1.001, 32) for spec in config.maps])
 
@@ -59,16 +68,14 @@ def boundary_grid(config):
 def region_of_point(config, q):
     """Index of the region containing q, or None; a list of those for a 1-d array q.
 
-    Each boundary is sampled once and tested in one winding pass against
-    the points not yet placed.  A point inside several regions gets the
-    first.
+    q lies in region k when f_k(w) = q has exactly one root in |w| < 1
+    (domain.roots_inside): nothing is sampled, so a point 1e-6 inside a
+    curve is placed.  A point inside several regions gets the first.
     """
     qs = np.atleast_1d(np.asarray(q, dtype=complex))
-    found = np.full(qs.size, -1)
-    for i, spec in enumerate(config.maps):
-        todo = np.flatnonzero(found < 0)
-        found[todo[winding_number(curve_samples(spec, 1.0, 1024), qs[todo]) == 1]] = i
-    regions = [None if i < 0 else int(i) for i in found]
+    inside = np.array([roots_inside(spec, qs) == 1 for spec in config.maps])
+    first = np.where(inside.any(axis=0), np.argmax(inside, axis=0), -1).tolist()
+    regions = [None if i < 0 else i for i in first]
     return regions[0] if np.ndim(q) == 0 else regions
 
 
@@ -119,13 +126,16 @@ def projection_component(config, i, h):
 
     Returns an evaluator z -> -(1/2 pi i) * integral over f_i({|w|=r}) of
     h(zeta)/(zeta-z) d zeta with r = 1 + ext_margin; for z in the common
-    exterior this is the same component decompose() builds exactly.
+    exterior this is the same component decompose() builds exactly.  d_min
+    is DEFAULT_DMIN in units of _length_scale; the nested rules stop early.
     """
-    contour = Contour(config.maps[i], 1.0 + config.ext_margin)
+    spec = config.maps[i]
+    contour = Contour(spec, 1.0 + config.ext_margin)
     h_vals = h(contour.points())
+    d_min = DEFAULT_DMIN * _length_scale(spec)
 
     def evaluator(z):
-        return cauchy_eval(contour, h_vals, z)
+        return cauchy_eval(contour, h_vals, z, d_min)
 
     return evaluator
 
@@ -242,24 +252,26 @@ def faber_partial_sum_error(config, h, m_max):
                             coefficients=coeffs)
 
 
-def dirichlet_norm_sigma(config, h, n_samples=2048):
+def dirichlet_norm_sigma(config, h):
     """Dirichlet seminorm of h over the common exterior domain.
 
     Green's identity turns the area integral of |h'|^2 into boundary
     terms; with every curve traversed counterclockwise in the parameter
     and h vanishing at infinity,
 
-        ||h||^2 = - sum_i (1/2i) * integral over f_i({|w|=1}) of conj(h) h' dz.
+        ||h||^2 = - sum_k (1/2i) * integral over f_k({|w|=1}) of conj(h) h' dz
+                = - pi sum_k Re c_k,
 
-    Rational h with poles inside the regions is analytic across the
-    curves, so the trapezoid rule on them is spectrally accurate; n_samples
-    per curve is a power of two >= 64.
+    c_k the mean over |w| = 1 of g_k = conj(h o f_k) (h' o f_k) f_k' w,
+    read as the w^1 coefficient of w g_k by sample_to_coeffs: its N grows
+    as a pole of h nears a curve, and a pole on one raises AliasError.
     """
     hp = h.derivative()
-    total = 0j
+    total = 0.0
     for spec in config.maps:
-        contour = Contour(spec, 1.0, n_samples)
-        zeta, dz = contour.points(), contour.dpoints()
-        total += (2 * np.pi / n_samples) * np.sum(np.conj(h(zeta)) * hp(zeta) * dz)
-    value = -total / 2j
-    return float(value.real)
+        def samples(w, spec=spec):
+            z = evaluate_map(spec, w)
+            return np.conj(h(z)) * hp(z) * map_derivative(spec, w) * (w * w)
+
+        total += sample_to_coeffs(samples, 1)[1][0].real
+    return float(-np.pi * total)

@@ -10,10 +10,10 @@ so the orthonormal coordinates of a are sqrt(pi m) a[..., m-1] and the
 boundary trace norm squared is pi * sum |n| |a_n|^2.
 
 Every circle in the package is sampled at the nodes of unit_roots, and
-every coefficient extraction runs through sample_to_coeffs: N doubles
-while the alias it estimates in the kept coefficients exceeds FOLD_TOL
-of the spectral peak.  Past a budget of SAMPLE_BUDGET sample values (N
-times the columns) it raises AliasError.
+every coefficient extraction, or mean over a circle, runs through
+sample_to_coeffs: N doubles while the alias it estimates in the kept
+coefficients exceeds FOLD_TOL of the spectral peak.  Past a budget of
+SAMPLE_BUDGET sample values (N times the columns) it raises AliasError.
 """
 
 import numpy as np
@@ -94,47 +94,33 @@ def sample_to_coeffs(fn, trunc):
             else:
                 odd = fn(w[1::2])
                 samples = np.stack([kept, odd], axis=1).reshape((n,) + odd.shape[1:])
-            if samples.size > max(n, _SPECTRUM_BLOCK):
-                peak, floor, outer, rows = _blocked_spectrum(samples, n, trunc)
-            else:
-                spec = np.fft.fft(samples, axis=0, norm="forward")
-                rows = None
-        # The fold band N/2 +- N/8 holds |frequency| 3N/8 to N/2; its floor
-        # sits at 3N/8 and its outer half, within N/16 of Nyquist, is smaller
-        # by the decay over N/16 frequencies.  Coefficients m < N/4 are
-        # aliased from |m - N| > 3N/4, six such steps past 3N/8, so the
-        # folded alias is estimated as floor * ratio^6.
-        e = n // 8
-        if rows is None:
-            mag = np.abs(spec)
-            peak = float(np.max(mag))
-            floor = float(np.max(mag[n // 2 - e : n // 2 + e + 1]))
-            outer = float(np.max(mag[n // 2 - e // 2 : n // 2 + e // 2 + 1]))
+            peak, floor, outer, rows = _blocked_spectrum(samples, n, trunc)
         if not np.isfinite(peak):
             raise AliasError("samples are not finite at N = %d" % n)
+        # Coefficients m < N/4 are aliased from |m - N| > 3N/4, six steps of
+        # N/16 past the fold band's floor at 3N/8 (_blocked_spectrum), each
+        # a decay by outer / floor: the folded alias is floor * ratio^6.
         folded = floor * (outer / floor) ** 6 if floor else 0.0
         if folded <= FOLD_TOL * peak:
-            break
+            return rows
         if samples.size >= SAMPLE_BUDGET:
             raise AliasError("N = %d: folded alias estimate %.3g exceeds %.3g of the "
                              "spectral peak" % (n, folded, FOLD_TOL * peak))
         kept = samples
         n *= 2
-    if rows is not None:
-        return rows
-    ns = np.arange(1, trunc + 1)
-    return spec[n - ns], spec[ns]
 
 
 def _blocked_spectrum(samples, n, trunc):
-    """sample_to_coeffs' reading of a spectrum of more than _SPECTRUM_BLOCK
-    values, taken a block of columns at a time: the maxima of its modulus
-    over all frequencies, over the fold band and over its outer half (NaN
-    where a NaN reaches them), and its rows (n - ns, ns), ns = 1..trunc.
+    """sample_to_coeffs' one reading of a spectrum, a block of columns of
+    about _SPECTRUM_BLOCK values at a time: the maxima of its modulus over
+    all frequencies, over the fold band N/2 +- N/8 and over its outer half,
+    within N/16 of Nyquist (NaN where a NaN reaches them), and its rows
+    (n - ns, ns), ns = 1..trunc.
 
     Each block's transform along axis 0 gives the same bits as one
     transform of the whole array, and only the kept rows are stored, so
-    neither the whole spectrum nor its modulus is ever held.
+    neither the whole spectrum nor its modulus is ever held.  A spectrum of
+    at most _SPECTRUM_BLOCK values, or of one column, is one block.
     """
     e = n // 8
     ns = np.arange(1, trunc + 1)
@@ -147,8 +133,8 @@ def _blocked_spectrum(samples, n, trunc):
         spec = np.fft.fft(cols[:, c : c + width], axis=0, norm="forward")
         mag = np.abs(spec)
         # np.maximum, unlike max(), keeps a NaN of either side
-        np.maximum(maxima, [np.max(mag), np.max(mag[n // 2 - e : n // 2 + e + 1]),
-                            np.max(mag[n // 2 - e // 2 : n // 2 + e // 2 + 1])], out=maxima)
+        np.maximum(maxima, (mag.max(), mag[n // 2 - e : n // 2 + e + 1].max(),
+                            mag[n // 2 - e // 2 : n // 2 + e // 2 + 1].max()), out=maxima)
         neg[:, c : c + width] = spec[n - ns]
         pos[:, c : c + width] = spec[ns]
     shape = (trunc,) + samples.shape[1:]

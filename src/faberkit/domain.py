@@ -17,6 +17,7 @@ from .coeffs import unit_roots
 DEFAULT_EXT_MARGIN = 0.05
 DEFAULT_SEPARATION = 1e-3
 DEFAULT_BOUNDARY_SAMPLES = 4096
+_MAX_COORDINATE = 2.0 ** 510  # below it, squared distances of curve points stay finite
 _CDIST_ROWS = 1 << 15  # entries of one row block of cdist
 _BLOCK = 64  # consecutive samples per block of _pairwise_min_distance
 
@@ -135,7 +136,7 @@ class MapReport:
     injective: bool
     min_abs_deriv: float
     critical_radius: float  # inf when f' has no roots
-    simple_curve: bool
+    simple_curve: bool  # the margin curve f({|w| = 1+ext_margin}) does not cross itself
 
 
 @dataclass
@@ -145,7 +146,8 @@ class ValidationReport:
     curve_distances holds sampled distances between the radius-1 curves,
     margin_distances the same for the radius 1+ext_margin curves (these are
     the ones compared against the separation floor).  winding[i, j] is the
-    winding number of curve i around center j.
+    winding number of curve i around center j (roots_inside).  Where a
+    curve reaches past 2^510, distances and windings read NaN.
     """
 
     map_reports: list
@@ -169,6 +171,27 @@ class ValidationReport:
 def curve_samples(spec, radius, n_samples):
     """Samples of f at the n_samples nodes radius * unit_roots(n_samples)."""
     return evaluate_map(spec, radius * unit_roots(n_samples))
+
+
+def roots_inside(spec, z, radius=1.0):
+    """For each point z, the number of roots of f(w) = z in |w| < radius:
+    the winding number of f({|w| = radius}) about z, found without sampling.
+    A point no nearer to the center than sum |a_k| radius^k has none, and so
+    has a non-finite one; for an affine map that settles every point.  The
+    others get the roots as eigenvalues of one batch of companion matrices.
+    """
+    u = np.asarray(z, dtype=complex).ravel() - spec.center
+    d = max(k for k, c in enumerate(spec.coeffs, 1) if c)  # the degree: a_d != 0
+    a = np.array(spec.coeffs[:d])
+    count = (np.abs(u) < sum(abs(c) * radius ** k for k, c in enumerate(a, 1))).astype(int)
+    if d > 1:
+        near = np.flatnonzero(count)
+        companion = np.zeros((near.size, d, d), dtype=complex)
+        companion[:, 0, :-1] = -a[-2::-1] / a[-1]
+        companion[:, 0, -1] = u[near] / a[-1]
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        count[near] = np.sum(np.abs(np.linalg.eigvals(companion)) < radius, axis=1)
+    return count.reshape(np.shape(z))
 
 
 def _critical_radius(spec):
@@ -203,8 +226,6 @@ def _near_pairs(z, radius):
     cells lists about 9/pi times the pairs within s, and all N^2 / 2
     pairs when every point falls in one cell.
     """
-    if not np.all(np.isfinite(z)):
-        raise ValueError("points must be finite")
     n = z.size
     x, y = z.real, z.imag
     side = radius + 8.0 * np.finfo(float).eps * np.max(np.abs(z))
@@ -293,13 +314,9 @@ def _pairwise_min_distance(pa, pb):
     as far from the other's as the nearest pair, keeps all of them and
     costs O(N^2).
     """
-    if not (np.all(np.isfinite(pa)) and np.all(np.isfinite(pb))):
-        raise ValueError("points must be finite")
     rows_a, anchor_a, radius_a = _sample_blocks(pa)
     rows_b, anchor_b, radius_b = _sample_blocks(pb)
     sep = np.sqrt(cdist(_xy(anchor_a), _xy(anchor_b)))
-    if np.any(np.isinf(sep)):
-        raise ValueError("squared distances overflow")
     bound = float(np.min(sep))
     if bound == 0.0:
         return 0.0
@@ -314,46 +331,26 @@ def _pairwise_min_distance(pa, pb):
     return float(np.sqrt(best))
 
 
-def winding_number(points, z0):
-    """Winding of the sampled closed curve around z0.
-
-    An int for scalar z0; for an array z0 an int array of its shape, one
-    winding number per point, from one pass over the curve.  The sampled
-    curve winds around no point outside its bounding box: those get 0
-    without the angle sum.
-    """
-    z = np.asarray(z0, dtype=complex)
-    box = ((z.real >= points.real.min()) & (z.real <= points.real.max())
-           & (z.imag >= points.imag.min()) & (z.imag <= points.imag.max()))
-    out = np.zeros(z.shape, dtype=int)
-    if np.any(box):
-        rel = np.subtract.outer(points, z[box])
-        # z0 exactly on a sample would divide by zero; nudge such entries
-        rel = np.where(np.abs(rel) < 1e-300, 1e-300, rel)
-        ratios = np.roll(rel, -1, axis=0) / rel
-        out[box] = np.rint(np.sum(np.angle(ratios), axis=0) / (2.0 * np.pi))
-    return int(out) if out.ndim == 0 else out
-
-
 def validate_config(config):
     """Geometric admissibility checks for a configuration.
 
     Per map: f' has no zero in the extended disk (exact, via polynomial
-    roots) and the radius-1 image is a simple closed curve (sampled
-    polyline test).  Across maps: the margin curves keep at least
-    `config.separation` apart, stay outside one another, and no center
-    lies inside a foreign region.  Distance and intersection checks work
-    on the curves sampled at DEFAULT_BOUNDARY_SAMPLES points: they are
-    exact for those polylines (the crossing test on the candidate pairs
-    of a uniform grid, the distances as nearest sample pairs, found
-    through bounds on blocks of samples, or 0 where eight probe points of
-    one curve find it overlapping another) but only approximate the
-    analytic curves.  The derivative check is exact.  In the sample count
-    N, the crossing test costs O(N log N) per curve and the distance of
-    two well separated curves O(64 N + (N / 64)^2); either takes O(N^2)
-    only in its worst case, most segment midpoints within one segment
-    length of each other, or most sample pairs about as far apart as the
-    nearest one.
+    roots) and the margin curve f({|w| = 1+ext_margin}) is simple, so f is
+    univalent on |w| <= 1+ext_margin (Darboux).  Across maps: the margin
+    curves keep at least `config.separation` apart, stay outside one
+    another, and no center lies inside a foreign region.  Windings are
+    root counts (roots_inside).  Distance and crossing checks work on the
+    curves sampled at DEFAULT_BOUNDARY_SAMPLES points: they are exact for
+    those polylines (the crossing test on the candidate pairs of a uniform
+    grid, the distances as nearest sample pairs, found through bounds on
+    blocks of samples, or 0 where one curve winds about one of eight
+    points of another) but only approximate the analytic curves.  In the
+    sample count N, the crossing test costs O(N log N) per curve and the
+    distance of two well separated curves O(64 N + (N / 64)^2); either
+    takes O(N^2) only in its worst case, most segment midpoints within one
+    segment length of each other, or most sample pairs about as far apart
+    as the nearest one.  A curve reaching |z| >= 2^510, where squared
+    distances overflow, fails by name and skips the sampled stages.
     """
     n = config.n
     n_samples = DEFAULT_BOUNDARY_SAMPLES
@@ -361,38 +358,41 @@ def validate_config(config):
     failures = []
     map_reports = []
 
-    curves_1 = []
-    curves_m = []
+    curves_1 = [curve_samples(spec, 1.0, n_samples) for spec in config.maps]
+    curves_m = [curve_samples(spec, 1.0 + eps, n_samples) for spec in config.maps]
+    reach = [float(np.max(np.abs(np.concatenate(c)))) for c in zip(curves_1, curves_m)]
+    in_range = [r < _MAX_COORDINATE for r in reach]  # NaN and inf fail
     for k, spec in enumerate(config.maps):
         crit = _critical_radius(spec)
-        grid_r = np.linspace(0.0, 1.0 + eps, 33)[1:]
-        grid = np.outer(grid_r, unit_roots(256)).ravel()
+        grid = np.outer(np.linspace(0.0, 1.0 + eps, 33)[1:], unit_roots(256)).ravel()
         min_deriv = float(np.min(np.abs(map_derivative(spec, grid))))
         injective = crit > 1.0 + eps
-        c1 = curve_samples(spec, 1.0, n_samples)
-        simple = not _curve_self_intersects(c1)
+        simple = in_range[k] and not _curve_self_intersects(curves_m[k])
         map_reports.append(MapReport(injective, min_deriv, crit, simple))
         if not injective:
             failures.append(
                 "map %d: derivative vanishes at radius %.6g <= 1+ext_margin" % (k, crit)
             )
-        if not simple:
-            failures.append("map %d: boundary curve self-intersects" % k)
-        curves_1.append(c1)
-        curves_m.append(curve_samples(spec, 1.0 + eps, n_samples))
+        if not in_range[k]:
+            failures.append("map %d: curve reaches |z| = %.3g, past 2^510, where squared "
+                            "distances overflow" % (k, reach[k]))
+        elif not simple:
+            failures.append("map %d: not univalent on |w| <= 1+ext_margin" % k)
+    if not all(in_range):
+        nan = np.full((n, n), np.nan)
+        return ValidationReport(map_reports, nan, nan, nan, failures)
 
     # Overlap of distinct regions shows up as nonzero winding of one curve
     # around probe points of another even when sampled min distances stay
     # above the floor; overlapping curves are 0 apart.
     probe_idx = np.arange(0, n_samples, max(1, n_samples // 8))
-    centers = [spec.center for spec in config.maps]
 
-    def overlaps(curves):
-        return np.array([[i != j and bool(np.any(winding_number(curves[i], curves[j][probe_idx])))
-                          for j in range(n)] for i in range(n)])
+    def overlaps(curves, radius):
+        return np.array([[i != j and bool(np.any(roots_inside(spec, curves[j][probe_idx], radius)))
+                          for j in range(n)] for i, spec in enumerate(config.maps)])
 
-    overlap_1 = overlaps(curves_1)
-    overlap_m = overlaps(curves_m)
+    overlap_1 = overlaps(curves_1, 1.0)
+    overlap_m = overlaps(curves_m, 1.0 + eps)
     curve_dist = np.zeros((n, n))
     margin_dist = np.zeros((n, n))
     for i in range(n):
@@ -411,7 +411,8 @@ def validate_config(config):
                     % (i, j, margin_dist[i, j], config.separation)
                 )
 
-    winding = np.array([winding_number(curves_1[i], centers) for i in range(n)])
+    winding = np.array([roots_inside(spec, [m.center for m in config.maps])
+                        for spec in config.maps])
     for i in range(n):
         if winding[i, i] != 1:
             failures.append("map %d: curve does not wind once around its center" % i)

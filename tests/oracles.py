@@ -16,7 +16,9 @@ and boundary_halves the exact pullback of 1/(z - q) through any
 polynomial map, by partial fractions.
 write_matrix_by_percent writes the grunsky_matrix export (the upper
 triangle of the stacked matrix) with one '%.17g' per entry, where
-faberkit formats whole arrays at once.
+faberkit formats whole arrays at once.  polyline_winding sums the turning
+angle of a sampled curve about each point, where faberkit counts the roots
+of f(w) = z.
 """
 
 import math
@@ -285,3 +287,14 @@ def write_matrix_by_percent(gr, fileobj, sigma_history=None):
                 entries = row[n:] if i == j else row
                 fileobj.write(" ".join("%.17g,%.17g" % (c.real, c.imag) for c in entries)
                               + "\n")
+
+
+def polyline_winding(points, z):
+    """Winding numbers of the closed polyline through points about the points z.
+
+    A z on a sample would divide by zero; such entries are nudged to 1e-300.
+    """
+    rel = np.subtract.outer(points, np.atleast_1d(np.asarray(z, dtype=complex)))
+    rel = np.where(np.abs(rel) < 1e-300, 1e-300, rel)
+    turn = np.sum(np.angle(np.roll(rel, -1, axis=0) / rel), axis=0)
+    return np.rint(turn / (2 * np.pi)).astype(int)

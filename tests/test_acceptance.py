@@ -113,8 +113,7 @@ def test_criterion_05_energy_identities(config_a, single_poly):
         a = np.zeros(8, complex)
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         lhs = dirichlet_norm(a) ** 2
-        ext = dirichlet_norm_sigma(single_poly, apply_faber(single_poly, 0, a),
-                                   n_samples=4096)
+        ext = dirichlet_norm_sigma(single_poly, apply_faber(single_poly, 0, a))
         gh = apply_grunsky(gr1, [a])
         g_sq = float(np.sum(np.pi * m_idx * np.abs(gh[0]) ** 2))
         worst_single = max(worst_single, abs(lhs - (ext + g_sq)) / lhs)
@@ -126,8 +125,7 @@ def test_criterion_05_energy_identities(config_a, single_poly):
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         seqs[j] = a
         lhs = dirichlet_norm(seqs[j]) ** 2
-        ext = dirichlet_norm_sigma(config_a, apply_big_faber(config_a, seqs),
-                                   n_samples=4096)
+        ext = dirichlet_norm_sigma(config_a, apply_big_faber(config_a, seqs))
         preds = apply_grunsky(gr2, seqs)
         g_sq = sum(float(np.sum(np.pi * m_idx * np.abs(p) ** 2))
                    for p in preds)

@@ -28,17 +28,19 @@ from faberkit import (
     faber_partial_sum_error,
     graph_check,
     grunsky,
+    map_derivative,
     norm_history,
     probe_grid,
     projection_component,
     pullback_boundary,
     region_of_point,
+    unit_roots,
     validate_config,
-    winding_number,
 )
 
 from faberkit.cli import load_config_file
-from oracles import boundary_halves, dirichlet_norm_sigma_area, faber_coefficients_by_components
+from oracles import (boundary_halves, dirichlet_norm_sigma_area, faber_coefficients_by_components,
+                     polyline_winding)
 
 CONFIG_PATHS = sorted((pathlib.Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 BUNDLED = [load_config_file(str(p)) for p in CONFIG_PATHS]
@@ -128,10 +130,37 @@ def test_region_of_point_matches_winding_on_every_curve(config_b):
     x, y = np.meshgrid(np.linspace(-3.5, 3.5, 41), np.linspace(-1.5, 1.5, 17))
     q = (x + 1j * y).ravel()
     curves = [curve_samples(spec, 1.0, 1024) for spec in config_b.maps]
-    expect = [next((i for i, c in enumerate(curves) if winding_number(c, p) == 1), None)
+    expect = [next((i for i, c in enumerate(curves) if polyline_winding(c, p)[0] == 1), None)
               for p in q]
     assert {0, 1, None} <= set(expect)
     assert region_of_point(config_b, q) == expect
+
+
+def test_region_of_point_places_a_pole_just_inside_a_chord(config_a):
+    # 1e-6 inside the left curve, at the midpoint of a chord of the
+    # 1024-gon that used to stand for the curve (its sagitta is 4.7e-6):
+    # the polygon's winding put the pole in no region, and decompose
+    # refused it with PoleOutsideRegions
+    q = -2 + (1 - 1e-6) * np.exp(3j * np.pi / 1024)
+    assert region_of_point(config_a, q) == 0
+    h = RationalFn.single(q, 1, 1.0)
+    assert decompose(config_a, h).components == [h, RationalFn(terms=())]
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.1), (1.0, 0.45j, -0.05),
+                                    tuple(3.08 ** k / math.factorial(k) for k in range(1, 13))],
+                         ids=["quadratic", "cubic", "degree-12"])
+def test_region_of_point_counts_roots_of_a_polynomial_map(coeffs):
+    # points f(rho w) 1e-6 inside and outside the curve of a map univalent
+    # on the closed disk: f(w) = q has one root in |w| < 1 or none
+    spec = ConformalMapSpec(center=-2.0 + 1j, coeffs=coeffs)
+    config = MultiDomainConfig(maps=(spec,))
+    w = unit_roots(64) * np.exp(0.01j)
+    for rho, region in ((1 - 1e-6, 0), (1 + 1e-6, None), (0.5, 0)):
+        assert region_of_point(config, evaluate_map(spec, rho * w)) == [region] * 64
+    far = spec.center + 2 * sum(map(abs, coeffs)) * w
+    assert region_of_point(config, far) == [None] * 64
+    assert region_of_point(config, [np.nan, np.inf, complex(1e300, -1e300)]) == [None] * 3
 
 
 def test_projection_matches_component(config_a):
@@ -362,6 +391,25 @@ def test_dirichlet_norm_closed_form(single_affine):
     np.testing.assert_allclose(val, math.pi, rtol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.1, 0.02, 0.005, 0.001])
+def test_dirichlet_norm_resolves_a_pole_near_a_curve(config_a, delta):
+    # h = 1/(z - q), q at distance delta inside the left curve, against the
+    # trapezoid rule at 2^17 samples per curve.  The fixed 2048-sample rule
+    # was off by 7.8e-4 at delta = 0.005 and by 0.99 at 0.001
+    h = RationalFn.single(-3.0 + delta, 1, 1.0)
+    hp = h.derivative()
+    w = unit_roots(1 << 17)
+    means = [np.mean(np.conj(h(z)) * hp(z) * map_derivative(spec, w) * w).real
+             for spec in config_a.maps for z in [evaluate_map(spec, w)]]
+    reference = -np.pi * sum(means)
+    np.testing.assert_allclose(dirichlet_norm_sigma(config_a, h), reference, rtol=1e-12)
+
+
+def test_dirichlet_norm_refuses_a_pole_on_a_curve(config_a):
+    with pytest.raises(AliasError, match="^samples are not finite at N = 128$"):
+        dirichlet_norm_sigma(config_a, RationalFn.single(3.0, 1, 1.0))
+
+
 def test_dirichlet_norm_is_exterior_energy(config_a):
     # two independent computations: boundary Stokes form vs masked area
     # quadrature with an analytic far-field tail
@@ -386,7 +434,7 @@ def test_energy_identity_single_boundary(single_poly):
         a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         lhs = dirichlet_norm(a) ** 2
         img = apply_faber(single_poly, 0, a)
-        ext = dirichlet_norm_sigma(single_poly, img, n_samples=4096)
+        ext = dirichlet_norm_sigma(single_poly, img)
         g_sq = dirichlet_norm(apply_grunsky(gr, [a])) ** 2
         assert abs(lhs - (ext + g_sq)) / lhs < 1e-10
 
@@ -400,7 +448,7 @@ def test_energy_identity_block(config_b):
         seqs[j, :6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         lhs = dirichlet_norm(seqs[j]) ** 2
         img = apply_big_faber(config_b, seqs)
-        ext = dirichlet_norm_sigma(config_b, img, n_samples=4096)
+        ext = dirichlet_norm_sigma(config_b, img)
         g_sq = dirichlet_norm(apply_grunsky(gr, seqs)) ** 2
         assert abs(lhs - (ext + g_sq)) / lhs < 1e-10
 
@@ -446,7 +494,7 @@ def test_admissible_maps_meet_acceptance_tolerances(cfg, seed):
     a[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     seqs = np.array([a, np.zeros(t)])
     lhs = dirichlet_norm(a) ** 2
-    ext = dirichlet_norm_sigma(cfg, apply_big_faber(cfg, seqs), n_samples=4096)
+    ext = dirichlet_norm_sigma(cfg, apply_big_faber(cfg, seqs))
     g_sq = dirichlet_norm(apply_grunsky(gr, seqs)) ** 2
     assert abs(lhs - (ext + g_sq)) / lhs <= 1e-6
 
@@ -486,7 +534,7 @@ def test_faber_image_norm_bounded_below(config_b):
                      for _ in range(2)])
     lhs = dirichlet_norm(seqs) ** 2
     img = apply_big_faber(config_b, seqs)
-    ext = dirichlet_norm_sigma(config_b, img, n_samples=4096)
+    ext = dirichlet_norm_sigma(config_b, img)
     assert ext / lhs > 0.9
 
 

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, file outputs, determinism."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -469,6 +470,54 @@ def test_decompose_outputs(cfg_file, tmp_path):
     assert "component 0 terms = 1" in text
     assert "component 1 terms = 1" in text
     assert "quadrature_agreement" in text
+
+
+@pytest.mark.parametrize("r", [3, 5, 8])
+def test_decompose_past_radius_four(cfg_file, tmp_path, capsys, r):
+    # disks of radius r at +-3r with a pole at -3.3r.  The probe rings sat
+    # 0.2 past each curve, inside the projection contour at radius
+    # r (1 + ext_margin) once r > 4: r = 5 was refused as 0.05 from the
+    # contour, and at r = 8 quadrature_agreement read 0.17.  Rings and d_min
+    # now scale with the conformal radius r
+    payload = {"maps": [{"center": [-3 * r, 0], "coeffs": [[r, 0]]},
+                        {"center": [3 * r, 0], "coeffs": [[r, 0]]}]}
+    out = tmp_path / "out"
+    config = cfg_file(payload)
+    assert main(["validate", "--config", config, "--out", str(out)]) == 0
+    assert main(["decompose", "--config", config, "--function=%r,0,1,1,0" % (-3.3 * r),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "decompose.txt").read_text()
+    assert float(text.split("\nquadrature_agreement = ")[1].split()[0]) <= 1e-12
+
+
+# the degree-12 Taylor polynomial of e^w at 3.08 w beside a unit disk: f' has
+# no zero on |w| <= 1.05, but the margin curve crosses itself at |w| = 1.0199
+TAYLOR_BESIDE_DISK = {
+    "maps": [{"center": [0.0, 0.0],
+              "coeffs": [[3.08 ** k / math.factorial(k), 0.0] for k in range(1, 13)]},
+             {"center": [30.0, 0.0], "coeffs": [[1.0, 0.0]]}],
+}
+
+
+@pytest.mark.parametrize("payload, failure", [
+    ({"maps": [{"center": [0, 0], "coeffs": [[1e308, 0]]},
+               {"center": [5, 0], "coeffs": [[1, 0]]}]},
+     "map 0: curve reaches |z| = 1.05e+308, past 2^510, where squared distances overflow"),
+    ({"maps": [{"center": [-1e201, 0], "coeffs": [[1e200, 0]]},
+               {"center": [1e201, 0], "coeffs": [[1e200, 0]]}]},
+     "map 0: curve reaches |z| = 1.11e+201, past 2^510, where squared distances overflow"),
+    (TAYLOR_BESIDE_DISK, "map 0: not univalent on |w| <= 1+ext_margin"),
+], ids=["coefficient-1e308", "disks-1e200", "margin-univalence"])
+def test_validate_names_the_failure_once(cfg_file, tmp_path, capsys, payload, failure):
+    # the first two ended in a ValueError traceback; validate passed the third
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["validate", "--config", cfg_file(payload), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "check failed: %s\n" % failure
+    assert "\nfailure: %s\n" % failure in (out / "validation.txt").read_text()
 
 
 # the overlapping disks, with a pole inside both

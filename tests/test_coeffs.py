@@ -163,6 +163,25 @@ def test_blocked_spectrum_is_the_whole_fft(near, sizes):
     np.testing.assert_array_equal(pos.view(np.int64), spec[ns].view(np.int64))
 
 
+def test_blocked_spectrum_of_one_long_column_is_the_whole_fft():
+    # one column longer than _SPECTRUM_BLOCK is one block: a pole at 1.001
+    # runs the extractor to N = 2^16, and its rows are those of one plain
+    # transform of the samples, bit for bit
+    sizes = []
+
+    def fn(w):
+        sizes.append(w.size)
+        return 1.0 / (w - 1.001)
+
+    neg, pos = sample_to_coeffs(fn, 1)
+    n = sum(sizes)
+    assert n == 1 << 16
+    assert n > coeffs._SPECTRUM_BLOCK
+    spec = np.fft.fft(1.0 / (unit_roots(n) - 1.001), norm="forward")
+    assert neg.view(np.int64).tolist() == spec[[n - 1]].view(np.int64).tolist()
+    assert pos.view(np.int64).tolist() == spec[[1]].view(np.int64).tolist()
+
+
 def test_blocked_spectrum_stops_on_a_nan_in_its_last_block():
     # one NaN sample in the last column, so in the last block only: the
     # extractor still names the non-finite samples, at the first N

@@ -1,11 +1,13 @@
 """Map evaluation and configuration validation."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from faberkit import (
     curve_samples,
     evaluate_map,
     map_derivative,
+    roots_inside,
     validate_config,
-    winding_number,
 )
 from faberkit import domain
 from faberkit.domain import _curve_self_intersects, _near_pairs, _pairwise_min_distance
@@ -60,15 +62,22 @@ def test_curve_samples_on_circle_image():
     np.testing.assert_allclose(np.abs(pts - 2.0), 0.8, atol=1e-12)
 
 
-def test_winding_number_inside_outside():
+def test_roots_inside_inside_outside():
+    # the winding number of f({|w| = r}) about z, as a count of the roots
+    # of f(w) = z in |w| < r: one batch for many points, the same counts as
+    # one point at a time
     spec = ConformalMapSpec(center=-2.0, coeffs=(1.0, 0.1))
-    curve = curve_samples(spec, 1.0, 512)
-    assert winding_number(curve, -2.0) == 1
-    assert winding_number(curve, 5.0) == 0
-    # one pass for many points, a point on a sample among them
-    z = np.array([-2.0, 5.0, curve[7], -2.3 + 0.2j])
-    np.testing.assert_array_equal(winding_number(curve, z),
-                                  [winding_number(curve, q) for q in z])
+    assert roots_inside(spec, -2.0) == 1
+    assert roots_inside(spec, 5.0) == 0
+    z = np.array([-2.0, 5.0, -2.3 + 0.2j, evaluate_map(spec, 1.02), np.nan])
+    np.testing.assert_array_equal(roots_inside(spec, z), [1, 0, 1, 0, 0])
+    np.testing.assert_array_equal(roots_inside(spec, z, 1.05), [1, 0, 1, 1, 0])
+    np.testing.assert_array_equal(roots_inside(spec, z), [roots_inside(spec, q) for q in z])
+    # f = w + 0.6 w^2 is not univalent on |w| < 1: its curve winds twice
+    # about points of the loop it makes, and f(w) = z has two roots there
+    loop = ConformalMapSpec(center=0.0, coeffs=(1.0, 0.6))
+    z = evaluate_map(loop, -0.95)
+    assert roots_inside(loop, z) == 2
 
 
 def test_validate_config_passes_disjoint_disks(config_a):
@@ -89,7 +98,49 @@ def test_validate_config_rejects_nonschlicht_map():
     cfg = MultiDomainConfig(maps=(ConformalMapSpec(center=0.0, coeffs=(1.0, 0.6)),))
     report = validate_config(cfg)
     assert not report.passed
-    assert any("derivative" in f or "self-intersect" in f for f in report.failures)
+    assert any("derivative" in f or "not univalent" in f for f in report.failures)
+
+
+# the degree-12 Taylor polynomial of e^w at 3.08 w: its curve f({|w| = r})
+# first crosses itself at r = 1.0199, while f' first vanishes at r = 1.268
+TAYLOR_EXP = ConformalMapSpec(center=0.0,
+                              coeffs=tuple(3.08 ** k / math.factorial(k) for k in range(1, 13)))
+
+
+def test_validate_config_tests_univalence_on_the_margin_disk():
+    # the radius-1 curve is simple and f' has no zero on |w| <= 1.05, yet f
+    # is not univalent there: the margin curve crosses itself.  Testing the
+    # radius-1 curve passed this config
+    assert not _curve_self_intersects(curve_samples(TAYLOR_EXP, 1.0, 4096))
+    assert _curve_self_intersects(curve_samples(TAYLOR_EXP, 1.05, 4096))
+    report = validate_config(MultiDomainConfig(
+        maps=(TAYLOR_EXP, ConformalMapSpec(center=30.0, coeffs=(1.0,)))))
+    assert report.failures == ["map 0: not univalent on |w| <= 1+ext_margin"]
+    assert report.map_reports[0].injective
+    assert not report.map_reports[0].simple_curve
+    # at a margin below the first crossing the same map passes
+    narrow = MultiDomainConfig(maps=(TAYLOR_EXP, ConformalMapSpec(center=30.0, coeffs=(1.0,))),
+                               ext_margin=0.01)
+    assert validate_config(narrow).passed
+
+
+@pytest.mark.parametrize("maps, reach", [
+    (((0.0, (1e308,)), (5.0, (1.0,))), "1.05e+308"),
+    (((-1e201, (1e200,)), (1e201, (1e200,))), "1.11e+201"),
+], ids=["coefficient-1e308", "disks-1e200"])
+def test_validate_config_names_curves_past_the_distance_range(maps, reach):
+    # squared distances between such curve points overflow: the crossing
+    # test and the curve distances raised ValueError; now each map whose
+    # curves reach past 2^510 is a named failure, and the sampled stages,
+    # which would overflow, read NaN
+    cfg = MultiDomainConfig(maps=tuple(ConformalMapSpec(center=c, coeffs=a) for c, a in maps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_config(cfg)
+    assert report.failures[0] == ("map 0: curve reaches |z| = %s, past 2^510, where squared "
+                                  "distances overflow" % reach)
+    assert not report.passed
+    assert np.isnan(report.curve_distances).all() and np.isnan(report.winding).all()
 
 
 def test_validate_config_rejects_overlapping_regions():
